@@ -3,8 +3,8 @@
 
 The full Section-V pipeline of the paper:
 
-1. run the FT proxy with the tracing library attached and extract its real
-   arrival pattern (the "FT-Scenario") and maximum observed skew;
+1. trace the FT proxy and extract its real arrival pattern (the
+   "FT-Scenario") and maximum observed skew;
 2. micro-benchmark every Alltoall algorithm under the eight artificial
    patterns (scaled to the traced skew) plus the FT-Scenario;
 3. apply three selection strategies — classic No-delay tuning, the paper's
@@ -31,7 +31,6 @@ from repro.selection import (
     write_ompi_rules_file,
 )
 from repro.sim.platform import get_machine
-from repro.tracing import CollectiveTracer, max_observed_skew, pattern_from_trace
 
 MACHINE = "hydra"
 NODES, CORES = 8, 4
@@ -45,11 +44,10 @@ def main() -> None:
     # --- 1. trace the application. -------------------------------------
     print(f"[1/5] tracing FT on '{MACHINE}' ({num_ranks} ranks) ...")
     ft = FTProxy.class_d_scaled(spec, nodes=NODES, cores_per_node=CORES, seed=1)
-    tracer = CollectiveTracer()
-    ft.run(tracer)
-    scenario = pattern_from_trace(tracer, "alltoall", num_ranks, name="ft_scenario")
-    skew = max_observed_skew(tracer, "alltoall", num_ranks)
-    print(f"      traced {tracer.num_calls('alltoall')} Alltoall calls, "
+    _, trace = ft.trace()
+    scenario = trace.arrival_pattern("alltoall", name="ft_scenario")
+    skew = trace.imbalance("alltoall")["max_arrival_spread"]
+    print(f"      traced {len(trace.calls('alltoall'))} Alltoall calls, "
           f"max skew {skew * 1e6:.1f} us")
 
     # --- 2. benchmark under patterns. ----------------------------------

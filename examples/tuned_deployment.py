@@ -5,7 +5,7 @@
    robustness-average strategy) over the collectives and sizes a
    CFD-flavoured application uses,
 2. persist the table + an Open MPI ``coll_tuned`` rules file,
-3. run a mixed-collective proxy app three ways — library default rules,
+3. run a mixed-collective workload three ways — library default rules,
    the freshly tuned table, and the tuned table reloaded from disk — and
    compare end-to-end runtimes.
 
@@ -14,21 +14,27 @@ Run:  python examples/tuned_deployment.py
 
 from pathlib import Path
 
-from repro.apps import MixedProxyApp, Phase
 from repro.bench import MicroBenchmark, TuningCampaign
 from repro.reporting import render_table
 from repro.selection import SelectionTable
 from repro.sim.platform import get_machine
+from repro.workloads import CollectivePhase, WorkloadSpec, run_workload
 
 MACHINE = "galileo100"
 NODES, CORES = 8, 4
 
 # A CFD-ish timestep: transpose-heavy Alltoall, residual Allreduce,
 # occasional control Bcast.
-PHASES = (
-    Phase("alltoall", 32768.0, count=16),
-    Phase("allreduce", 8.0, count=8),
-    Phase("bcast", 4096.0, count=16),
+WORKLOAD = WorkloadSpec(
+    name="cfd_step",
+    phases=(
+        CollectivePhase("alltoall", 32768.0, count=16),
+        CollectivePhase("allreduce", 8.0, count=8),
+        CollectivePhase("bcast", 4096.0, count=16),
+    ),
+    iterations=10,
+    warmup=0,
+    compute=1e-3,
 )
 
 
@@ -51,16 +57,14 @@ def main() -> None:
     print("[2/3] reloading the deployed table from disk ...")
     deployed = SelectionTable.load_json(paths["table"])
 
-    print("[3/3] running the mixed app under each decision source ...")
+    print("[3/3] running the workload under each decision source ...")
+    app_bench = MicroBenchmark.from_machine(spec, nodes=NODES,
+                                            cores_per_node=CORES, seed=5)
     rows = []
     for label, table in (("library fixed rules", None),
                          ("tuned (in-memory)", result.table),
                          ("tuned (reloaded from disk)", deployed)):
-        app = MixedProxyApp.from_machine(
-            spec, PHASES, nodes=NODES, cores_per_node=CORES, seed=5,
-            table=table, iterations=10, compute_per_iteration=1e-3,
-        )
-        out = app.run()
+        out = run_workload(WORKLOAD, app_bench, table=table, cells=False)
         rows.append([
             label,
             out.resolved["alltoall@32768B"],

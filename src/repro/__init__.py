@@ -9,10 +9,10 @@ A from-scratch Python reproduction of
 The package bundles a discrete-event MPI simulator (:mod:`repro.sim`), a
 library of collective algorithms (:mod:`repro.collectives`), arrival-pattern
 generation (:mod:`repro.patterns`), a clock-synchronized micro-benchmark
-harness (:mod:`repro.bench`), application tracing (:mod:`repro.tracing`),
-algorithm-selection strategies (:mod:`repro.selection`), proxy applications
-(:mod:`repro.apps`), and one experiment driver per paper figure/table
-(:mod:`repro.experiments`).
+harness (:mod:`repro.bench`), observability and trace analysis
+(:mod:`repro.obs`), algorithm-selection strategies (:mod:`repro.selection`),
+traceable proxy applications (:mod:`repro.apps`), and one experiment driver
+per paper figure/table (:mod:`repro.experiments`).
 """
 
 from repro._version import __version__

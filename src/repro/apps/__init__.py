@@ -12,14 +12,10 @@ Allreduce-dominant counterpart.
 from repro.apps.base import AppResult, IterativeProxyApp
 from repro.apps.ft import FTProxy
 from repro.apps.cg import CGProxy
-from repro.apps.mixed import MixedAppResult, MixedProxyApp, Phase
 
 __all__ = [
     "AppResult",
     "IterativeProxyApp",
     "FTProxy",
     "CGProxy",
-    "Phase",
-    "MixedProxyApp",
-    "MixedAppResult",
 ]

@@ -3,8 +3,9 @@
 An :class:`IterativeProxyApp` alternates noise-perturbed compute phases with
 collective calls — the skeleton of bulk-synchronous applications like the
 NAS benchmarks.  Per-rank compute and MPI time are accounted separately,
-standing in for the paper's mpisee profiling, and an optional
-:class:`~repro.tracing.tracer.CollectiveTracer` records arrival patterns.
+standing in for the paper's mpisee profiling, and
+:meth:`~IterativeProxyApp.trace` records the run's arrival patterns (the
+paper's PMPI tracer, Section V-A).
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.collectives import CollArgs, make_input, run_collective
+from repro.obs.analysis import TraceAnalysis
+from repro.obs.collect import capture_telemetry, merge_telemetry
+from repro.obs.context import current as _obs_current, session
 from repro.sim.mpi import run_processes
 from repro.sim.network import NetworkParams
 from repro.sim.noise import NoiseModel
 from repro.sim.platform import MachineSpec, Platform
-from repro.tracing.tracer import CollectiveTracer
 
 
 @dataclass
@@ -90,7 +93,7 @@ class IterativeProxyApp:
         return cls(platform=platform, params=NetworkParams(**spec.network),
                    noise=noise, **kwargs)
 
-    def run(self, tracer: CollectiveTracer | None = None) -> AppResult:
+    def run(self) -> AppResult:
         """Execute the proxy app; returns profile accounting."""
         p = self.platform.num_ranks
         args = CollArgs(count=self.count, msg_bytes=self.msg_bytes)
@@ -112,10 +115,7 @@ class IterativeProxyApp:
                     yield ctx.compute(compute_chunk)
                     entered = ctx.time()
                     compute_total += entered - before
-                    if tracer is not None:
-                        yield from tracer.traced(ctx, collective, algorithm, args, inputs[me])
-                    else:
-                        yield from run_collective(ctx, collective, algorithm, args, inputs[me])
+                    yield from run_collective(ctx, collective, algorithm, args, inputs[me])
                     mpi_total += ctx.time() - entered
             return ctx.time() - start, compute_total, mpi_total
 
@@ -127,3 +127,19 @@ class IterativeProxyApp:
             rank_mpi_time=np.array([r[2] for r in run.rank_results]),
             collective_calls=iterations * calls,
         )
+
+    def trace(self) -> tuple[AppResult, TraceAnalysis]:
+        """Run the app with every collective call traced (Section V-A).
+
+        The run records one arrival-to-exit span per rank and call in a
+        nested observability session, which then folds into the enclosing
+        session (if any) so its metrics, engine stats and trace still count
+        this run.  ``analysis.arrival_pattern(collective)`` is the
+        replayable scenario (the paper's FT-Scenario).
+        """
+        outer = _obs_current()
+        with session(meta={"app": self.name}) as octx:
+            result = self.run()
+        if outer.enabled:
+            merge_telemetry(outer, capture_telemetry(octx), name=self.name)
+        return result, TraceAnalysis.from_context(octx)

@@ -16,6 +16,7 @@ import sys
 import time
 
 from repro._version import __version__
+from repro.errors import ReproError
 from repro.experiments import tables
 from repro.experiments.common import ExperimentConfig
 
@@ -23,7 +24,7 @@ _FIG_COLLECTIVES = ("reduce", "allreduce", "alltoall")
 
 
 def _add_common(parser: argparse.ArgumentParser, machine_default: str = "hydra",
-                nodes_default: int = 16, obs_trace: bool = True) -> None:
+                nodes_default: int = 16) -> None:
     parser.add_argument("--machine", default=machine_default,
                         help=f"machine preset (default: {machine_default})")
     parser.add_argument("--nodes", type=int, default=nodes_default)
@@ -52,11 +53,10 @@ def _add_common(parser: argparse.ArgumentParser, machine_default: str = "hydra",
                         "fast-path hits, events/s) to stderr when done; worker "
                         "processes report their runs back, so --jobs > 1 "
                         "counts everything")
-    if obs_trace:
-        parser.add_argument("--trace-out", default=None, metavar="PATH",
-                            dest="obs_trace_out",
-                            help="export a Perfetto/Chrome trace_event JSON of "
-                            "this run (open at ui.perfetto.dev)")
+    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        dest="obs_trace_out",
+                        help="export a Perfetto/Chrome trace_event JSON of "
+                        "this run (open at ui.perfetto.dev)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         dest="obs_metrics_out",
                         help="export the run's metrics snapshot (counters, "
@@ -155,17 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ptrace = sub.add_parser(
         "trace",
-        help="run a proxy application under the tracer; write trace + pattern files",
+        help="run a proxy application with its collectives traced; write a "
+        "Perfetto trace (--trace-out, default app_trace.json) and the "
+        "replayable pattern file",
     )
-    # obs_trace=False: this command's own --trace-out is the *application*
-    # collective trace; the Perfetto export is still available via profile.
-    _add_common(ptrace, machine_default="galileo100", nodes_default=8,
-                obs_trace=False)
+    _add_common(ptrace, machine_default="galileo100", nodes_default=8)
     ptrace.add_argument("--app", choices=["ft", "cg"], default="ft")
     ptrace.add_argument("--algorithm", default=None,
                         help="collective algorithm the app uses (default: app's)")
     ptrace.add_argument("--iterations", type=int, default=20)
-    ptrace.add_argument("--trace-out", default="app.trace", metavar="PATH")
     ptrace.add_argument("--pattern-out", default="app.pattern", metavar="PATH")
 
     ptune = sub.add_parser(
@@ -906,12 +904,6 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
         from repro.apps import CGProxy, FTProxy
         from repro.patterns import write_pattern_file
         from repro.sim.platform import get_machine
-        from repro.tracing import (
-            CollectiveTracer,
-            max_observed_skew,
-            pattern_from_trace,
-            write_trace,
-        )
 
         config = _config(args)
         spec = get_machine(config.machine)
@@ -928,21 +920,14 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
                                        iterations=args.iterations)
             if args.algorithm:
                 app.algorithm = args.algorithm
-        tracer = CollectiveTracer()
-        app_result = app.run(tracer)
+        app_result, trace = app.trace()
         coll = app.collective
-        p = config.num_ranks
-        pattern = pattern_from_trace(tracer, coll, p,
-                                     name=f"{args.app}_scenario")
-        write_trace(args.trace_out, tracer,
-                    metadata={"app": args.app, "machine": config.machine,
-                              "algorithm": app.algorithm})
+        pattern = trace.arrival_pattern(coll, name=f"{args.app}_scenario")
         write_pattern_file(args.pattern_out, pattern)
         print(f"{args.app} runtime: {app_result.runtime * 1e3:.2f} ms "
               f"(MPI fraction {app_result.mpi_fraction:.2f})")
-        print(f"traced {tracer.num_calls(coll)} {coll} calls; max skew "
-              f"{max_observed_skew(tracer, coll, p) * 1e6:.1f} us")
-        print(f"wrote trace: {args.trace_out}")
+        print(f"traced {len(trace.calls(coll))} {coll} calls; max skew "
+              f"{trace.imbalance(coll)['max_arrival_spread'] * 1e6:.1f} us")
         print(f"wrote pattern: {args.pattern_out}")
     elif command == "tune":
         from repro.bench.campaign import TuningCampaign
@@ -1028,13 +1013,17 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+#: Commands that always write a trace (the ``--trace-out`` default).
+_DEFAULT_TRACE_OUT = {"profile": "profile_trace.json",
+                      "trace": "app_trace.json"}
+
+
+def _main(args: argparse.Namespace) -> int:
     command = args.command
     started = time.time()
     trace_out = getattr(args, "obs_trace_out", None)
-    if command == "profile" and trace_out is None:
-        trace_out = "profile_trace.json"
+    if trace_out is None:
+        trace_out = _DEFAULT_TRACE_OUT.get(command)
     metrics_out = getattr(args, "obs_metrics_out", None)
     verbose = getattr(args, "verbose", False)
     # Every command with harness knobs runs inside an observability session:
@@ -1080,6 +1069,15 @@ def main(argv: list[str] | None = None) -> int:
                 print("[engine: 0 runs]", file=sys.stderr)
     print(f"\n[{command} completed in {time.time() - started:.1f}s]", file=sys.stderr)
     return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

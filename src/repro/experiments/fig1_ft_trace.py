@@ -16,7 +16,6 @@ from repro.apps.ft import FTProxy
 from repro.experiments.common import ExperimentConfig
 from repro.reporting.ascii import render_series, render_table
 from repro.sim.platform import get_machine
-from repro.tracing import CollectiveTracer, average_delay_per_rank, max_observed_skew
 
 
 @dataclass
@@ -37,15 +36,13 @@ def run(config: ExperimentConfig | None = None) -> Fig1Result:
         seed=config.seed,
         iterations=5 if config.fast else 20,
     )
-    tracer = CollectiveTracer()
-    app_result = ft.run(tracer)
-    p = config.num_ranks
+    app_result, trace = ft.trace()
     return Fig1Result(
         machine=config.machine,
-        num_ranks=p,
-        calls_traced=tracer.num_calls("alltoall"),
-        avg_delay_per_rank=average_delay_per_rank(tracer, "alltoall", p),
-        max_skew=max_observed_skew(tracer, "alltoall", p),
+        num_ranks=config.num_ranks,
+        calls_traced=len(trace.calls("alltoall")),
+        avg_delay_per_rank=trace.arrival_pattern("alltoall").skews,
+        max_skew=trace.imbalance("alltoall")["max_arrival_spread"],
         ft_runtime=app_result.runtime,
     )
 

@@ -21,7 +21,6 @@ from repro.experiments.fig7_ft_vs_micro import FIG7_MACHINES
 from repro.patterns.shapes import NO_DELAY, list_shapes
 from repro.reporting.ascii import render_grid
 from repro.sim.platform import get_machine
-from repro.tracing import CollectiveTracer, max_observed_skew, pattern_from_trace
 
 FT_SCENARIO = "ft_scenario"
 
@@ -78,11 +77,9 @@ def run(
             spec, nodes=config.nodes, cores_per_node=config.cores_per_node,
             seed=config.seed, iterations=5 if config.fast else 20,
         )
-        tracer = CollectiveTracer()
-        ft.run(tracer)
-        scenario = pattern_from_trace(tracer, "alltoall", config.num_ranks,
-                                      name=FT_SCENARIO)
-        traced_skew = max_observed_skew(tracer, "alltoall", config.num_ranks)
+        _, trace = ft.trace()
+        scenario = trace.arrival_pattern("alltoall", name=FT_SCENARIO)
+        traced_skew = trace.imbalance("alltoall")["max_arrival_spread"]
         # 2. Benchmark under artificial patterns at the traced skew + scenario.
         bench = config.make_bench(machine=machine, nrep=max(config.nrep, 2))
         sweep = sweep_shared_skew(

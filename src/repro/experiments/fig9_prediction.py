@@ -26,7 +26,6 @@ from repro.experiments.fig8_normalized import FT_SCENARIO
 from repro.patterns.shapes import NO_DELAY, list_shapes
 from repro.reporting.ascii import render_table
 from repro.sim.platform import get_machine
-from repro.tracing import CollectiveTracer, max_observed_skew, pattern_from_trace
 
 
 @dataclass
@@ -65,23 +64,22 @@ def run(config: ExperimentConfig | None = None) -> Fig9Result:
 
     # --- actual FT runs + profile (compute time, call count, trace). ---
     actual: dict[str, float] = {}
-    compute = None
-    calls = None
-    tracer = CollectiveTracer()
     for algo in algorithms:
         ft = FTProxy.class_d_scaled(
             spec, nodes=config.nodes, cores_per_node=config.cores_per_node,
             seed=config.seed, algorithm=algo, iterations=iterations,
         )
-        app = ft.run(tracer if algo == algorithms[0] else None)
-        actual[algo] = app.runtime
         if algo == algorithms[0]:
+            app, trace = ft.trace()
             compute = app.compute_time
             calls = app.collective_calls
+        else:
+            app = ft.run()
+        actual[algo] = app.runtime
 
     # --- micro-benchmark expectations per algorithm. ---
-    scenario = pattern_from_trace(tracer, "alltoall", config.num_ranks, name=FT_SCENARIO)
-    traced_skew = max_observed_skew(tracer, "alltoall", config.num_ranks)
+    scenario = trace.arrival_pattern("alltoall", name=FT_SCENARIO)
+    traced_skew = trace.imbalance("alltoall")["max_arrival_spread"]
     bench = config.make_bench(nrep=max(config.nrep, 2))
     sweep = sweep_shared_skew(
         bench, "alltoall", algorithms, FT_MSG_BYTES, shapes,

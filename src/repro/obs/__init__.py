@@ -49,8 +49,6 @@ from repro.obs.context import (
     ObsContext,
     absorb_engine_stats,
     current,
-    disable_process_engine_aggregation,
-    enable_process_engine_aggregation,
     session,
 )
 from repro.obs.analysis import (
@@ -128,8 +126,6 @@ __all__ = [
     "current",
     "session",
     "absorb_engine_stats",
-    "enable_process_engine_aggregation",
-    "disable_process_engine_aggregation",
     # metrics
     "Counter",
     "Gauge",

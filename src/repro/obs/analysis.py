@@ -16,7 +16,7 @@ measures; this module turns spans into those numbers:
 
 * **Arrival-pattern reconstruction** (Section V-A): per-rank average delay
   relative to the first arrival across all calls — the replayable
-  *FT-Scenario* procedure, applied to spans instead of tracer events.
+  *FT-Scenario* (see :meth:`repro.apps.base.IterativeProxyApp.trace`).
 
 * **Imbalance factors**: ``omega / d_hat`` per call (how large the arrival
   spread is relative to the work it delays) and ``omega`` against an
@@ -69,7 +69,6 @@ from repro.obs.spans import VIRTUAL
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.context import ObsContext
     from repro.patterns.generator import ArrivalPattern
-    from repro.tracing.tracer import CollectiveTracer
 
 #: Metric instruments measuring *host* time.  They are honest but
 #: nondeterministic — two identical runs land different values — so
@@ -197,6 +196,30 @@ def _is_msg_track(track: str) -> bool:
     return track.startswith("msgs ")
 
 
+def _check_span(span: dict, source) -> None:
+    """Reject a loaded span the analyses cannot read, naming its file."""
+    track = span.get("track")
+    if not (isinstance(track, str) and isinstance(span.get("name"), str)
+            and isinstance(span.get("start"), (int, float))
+            and isinstance(span.get("end"), (int, float))
+            and isinstance(span.get("args") or {}, dict)):
+        raise TraceFormatError(
+            f"{source}: span {span.get('span_id')!r} needs a name, a track, "
+            f"a numeric start and end: {span!r}"
+        )
+    if span["end"] < span["start"]:
+        raise TraceFormatError(
+            f"{source}: span {span.get('span_id')!r} ends before it starts"
+        )
+    if _is_rank_track(track):
+        try:
+            int(track[5:])
+        except ValueError:
+            raise TraceFormatError(
+                f"{source}: bad rank track name {track!r}"
+            ) from None
+
+
 class TraceAnalysis:
     """Computes the paper's metrics from one trace, however it was loaded.
 
@@ -242,18 +265,29 @@ class TraceAnalysis:
 
         JSONL round-trips bit-exactly; Perfetto timestamps pass through
         microseconds, so values can differ from the source in the last ulp.
+        Malformed input raises :class:`~repro.errors.TraceFormatError`
+        naming ``path``.
         """
         try:
             stream = read_jsonl(path)
         except TraceFormatError:
-            return cls._from_perfetto(load_perfetto(path), str(path))
-        end = stream.get("end") or {}
-        return cls(stream["spans"],
-                   run_id=stream["header"].get("run_id", ""),
-                   metrics=stream["metrics"],
-                   dropped=int(end.get("dropped", 0)),
-                   links=stream.get("links"),
-                   dropped_links=int(end.get("dropped_links", 0)))
+            stream = None
+        try:
+            if stream is None:
+                ana = cls._from_perfetto(load_perfetto(path), str(path))
+            else:
+                end = stream["end"]
+                ana = cls(stream["spans"],
+                          run_id=stream["header"].get("run_id", ""),
+                          metrics=stream["metrics"],
+                          dropped=int(end.get("dropped", 0)),
+                          links=stream["links"],
+                          dropped_links=int(end.get("dropped_links", 0)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"{path}: malformed trace: {exc!r}") from None
+        for s in ana.spans:
+            _check_span(s, path)
+        return ana
 
     @classmethod
     def _from_perfetto(cls, payload: dict, source: str) -> "TraceAnalysis":
@@ -760,74 +794,6 @@ def diff_payloads(baseline: dict, candidate: dict,
     return drifts
 
 
-# --------------------------------------------------------------------------- #
-# Tracer-based reconstruction (absorbed from repro.tracing.analysis)
-# --------------------------------------------------------------------------- #
-#
-# These operate on a CollectiveTracer (event records from a traced
-# application run) rather than on spans; they implement the same Section
-# V-A procedure and live here so all trace analysis has one home.  The old
-# module path, repro.tracing.analysis, re-exports them with a
-# DeprecationWarning.
-
-def _per_call_delays(
-    tracer: "CollectiveTracer", collective: str, num_ranks: int
-):
-    """(num_calls, num_ranks) matrix of arrival delays vs. first arrival."""
-    import numpy as np
-
-    calls = tracer.calls(collective)
-    if not calls:
-        raise TraceFormatError(f"trace contains no {collective!r} calls")
-    rows = []
-    for sequence in sorted(calls):
-        events = calls[sequence]
-        by_rank = {ev.rank: ev for ev in events}
-        if len(by_rank) != num_ranks:
-            # Partial call (rank sampling active): skip incomplete records.
-            continue
-        arrivals = np.array([by_rank[r].arrival for r in range(num_ranks)])
-        rows.append(arrivals - arrivals.min())
-    if not rows:
-        raise TraceFormatError(
-            f"no complete {collective!r} calls covering all {num_ranks} ranks"
-        )
-    return np.stack(rows)
-
-
-def average_delay_per_rank(
-    tracer: "CollectiveTracer", collective: str, num_ranks: int
-):
-    """Fig. 1: mean arrival delay per rank across all traced calls."""
-    return _per_call_delays(tracer, collective, num_ranks).mean(axis=0)
-
-
-def max_observed_skew(
-    tracer: "CollectiveTracer", collective: str, num_ranks: int
-) -> float:
-    """The highest per-call arrival spread seen in the trace.
-
-    The paper uses this as the maximum process skew when generating the
-    artificial patterns that accompany the traced scenario (Section V-B).
-    """
-    delays = _per_call_delays(tracer, collective, num_ranks)
-    return float(delays.max(axis=1).max())
-
-
-def pattern_from_trace(
-    tracer: "CollectiveTracer",
-    collective: str,
-    num_ranks: int,
-    name: str = "ft_scenario",
-) -> "ArrivalPattern":
-    """The replayable application scenario: per-rank average delays as skews."""
-    from repro.patterns.generator import ArrivalPattern
-
-    return ArrivalPattern(
-        name, average_delay_per_rank(tracer, collective, num_ranks)
-    )
-
-
 __all__ = [
     "HOST_TIME_METRICS",
     "DEFAULT_DIFF_IGNORE",
@@ -836,7 +802,4 @@ __all__ = [
     "CommMatrix",
     "TraceAnalysis",
     "diff_payloads",
-    "average_delay_per_rank",
-    "max_observed_skew",
-    "pattern_from_trace",
 ]

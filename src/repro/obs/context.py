@@ -24,11 +24,8 @@ Engine-stats aggregation
 ------------------------
 ``Engine.run`` reports its :class:`~repro.sim.engine.EngineStats` through
 :func:`absorb_engine_stats` after every run.  The active session merges
-them into its own run-scoped aggregate (``ctx.engine_stats``).  The legacy
-process-wide accumulator of ``repro.sim.engine.enable_stats_aggregation``
-lives here too (:func:`enable_process_engine_aggregation`) so existing
-callers keep working — but new code should prefer a session, which cannot
-leak across concurrent runs.
+them into its own run-scoped aggregate (``ctx.engine_stats``); without a
+session the report is dropped.
 """
 
 from __future__ import annotations
@@ -202,43 +199,13 @@ def session(run_id: str | None = None, meta: dict[str, Any] | None = None,
         _current.reset(token)
 
 
-# --------------------------------------------------------------------------- #
-# Engine-stats reporting (run-scoped + legacy process-wide accumulator)
-# --------------------------------------------------------------------------- #
-
-_process_engine_aggregate: Any = None
-
-
 def absorb_engine_stats(stats: Any) -> None:
     """Called by ``Engine.run`` after every run with that run's stats.
 
-    Merges into the active session's run-scoped aggregate (if a session is
-    open) and into the legacy process-wide accumulator (if one is enabled) —
-    the two are independent consumers of the same report.
+    Merges into the active session's run-scoped aggregate (a no-op when no
+    session is open).
     """
-    ctx = _current.get()
-    if ctx.enabled:
-        ctx.absorb_engine_stats(stats)
-    agg = _process_engine_aggregate
-    if agg is not None:
-        agg.merge(stats)
-
-
-def enable_process_engine_aggregation(accumulator: Any) -> Any:
-    """Install ``accumulator`` as the process-wide engine-stats target.
-
-    Back-compat shim for ``repro.sim.engine.enable_stats_aggregation``;
-    prefer :func:`session`, whose aggregate is run-scoped.
-    """
-    global _process_engine_aggregate
-    _process_engine_aggregate = accumulator
-    return accumulator
-
-
-def disable_process_engine_aggregation() -> None:
-    """Drop the process-wide engine-stats accumulator."""
-    global _process_engine_aggregate
-    _process_engine_aggregate = None
+    _current.get().absorb_engine_stats(stats)
 
 
 __all__ = [
@@ -248,6 +215,4 @@ __all__ = [
     "current",
     "session",
     "absorb_engine_stats",
-    "enable_process_engine_aggregation",
-    "disable_process_engine_aggregation",
 ]

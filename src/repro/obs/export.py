@@ -221,7 +221,7 @@ def read_jsonl(path: str | Path) -> dict:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: bad header: {exc}") from None
-    if header.get("magic") != _JSONL_MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != _JSONL_MAGIC:
         raise TraceFormatError(f"{path}: not a repro-obs stream")
     if header.get("version") != _JSONL_VERSION:
         raise TraceFormatError(
@@ -235,14 +235,17 @@ def read_jsonl(path: str | Path) -> dict:
         try:
             obj = json.loads(line)
             kind = obj.pop("type")
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
             raise TraceFormatError(f"{path}:{lineno}: bad event: {exc}") from None
         if kind == "span":
             out["spans"].append(obj)
         elif kind == "link":
             out["links"].append(obj)
         elif kind == "metric":
-            out["metrics"][obj.pop("name")] = obj
+            name = obj.pop("name", None)
+            if not isinstance(name, str):
+                raise TraceFormatError(f"{path}:{lineno}: metric without a name")
+            out["metrics"][name] = obj
         elif kind == "engine":
             out["engine"] = obj
         elif kind == "end":
@@ -260,7 +263,7 @@ def load_perfetto(path: str | Path) -> dict:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: not valid JSON: {exc}") from None
-    if "traceEvents" not in payload:
+    if not isinstance(payload, dict) or "traceEvents" not in payload:
         raise TraceFormatError(f"{path}: no traceEvents key")
     return payload
 

@@ -83,10 +83,6 @@ from typing import Any, Iterator
 from repro.errors import DeadlockError, ProtocolError, SimulationError
 from repro.obs.context import absorb_engine_stats as _absorb_engine_stats
 from repro.obs.context import current as _obs_current
-from repro.obs.context import (
-    disable_process_engine_aggregation,
-    enable_process_engine_aggregation,
-)
 from repro.obs.spans import msg_track as _msg_track
 from repro.sim.network import NetworkModel
 
@@ -201,27 +197,6 @@ class EngineStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EngineStats {self.summary()}>"
-
-
-def enable_stats_aggregation() -> EngineStats:
-    """Aggregate the stats of every subsequent in-process ``Engine.run``.
-
-    Returns the (initially zeroed) accumulator; each completed run merges
-    into it.  Worker processes of a ``--jobs N`` fan-out aggregate into
-    their own interpreter, not the parent's.
-
-    Back-compat shim: the accumulator now lives in :mod:`repro.obs.context`
-    as the *process-wide* target.  New code should open a run-scoped
-    ``repro.obs.session()`` instead — its ``engine_stats`` aggregate cannot
-    be shared (or clobbered) by concurrent runs, which this process-wide
-    singleton can.
-    """
-    return enable_process_engine_aggregation(EngineStats())
-
-
-def disable_stats_aggregation() -> None:
-    """Stop aggregating engine stats (drops the current accumulator)."""
-    disable_process_engine_aggregation()
 
 
 class Request:
@@ -617,8 +592,7 @@ class Engine:
             stats.events_rendezvous += n_rndv
             stats.wall_seconds += perf_counter() - started
             stats.runs += 1
-            # Reports into the run-scoped obs session (if any) and the
-            # legacy process-wide accumulator (if enabled).
+            # Reports into the run-scoped obs session (if any).
             _absorb_engine_stats(stats)
         blocked = [p.rank for p in self.procs if not p.done]
         if blocked:

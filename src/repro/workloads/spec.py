@@ -8,7 +8,7 @@ excluded from measurement.  Three comm/compute *overlap modes* cover the
 structures real applications exhibit:
 
 * ``"sequential"`` — one compute block, then the phases back to back (the
-  classic bulk-synchronous timestep; what :mod:`repro.apps.mixed` models).
+  classic bulk-synchronous timestep).
 * ``"split"`` — the compute budget is divided evenly and a slice runs
   before each phase (gradient-bucket pipelining in data-parallel training).
 * ``"interleaved"`` — every phase runs on its own fiber concurrently with
@@ -234,8 +234,8 @@ def iteration_body(ctx, plan, compute: float, overlap: str,
     ``data`` already this rank's input.  ``phase_time`` (when given)
     accumulates per-phase MPI seconds; ``label_prefix`` namespaces link
     attribution (multi-job runs).  This is the single implementation of the
-    overlap modes — :class:`repro.apps.mixed.MixedProxyApp` and the
-    workload runner both route through it.
+    overlap modes; the workload runner and the contention runner both route
+    through it.
     """
     if overlap == "sequential":
         if compute > 0:

@@ -160,7 +160,7 @@ def ddp_buckets(num_ranks: int, fast: bool = False, seed: int = 0) -> WorkloadSp
     "mixed timestep: alltoall halo + residual allreduce + control bcast",
 )
 def halo_mix(num_ranks: int, fast: bool = False, seed: int = 0) -> WorkloadSpec:
-    """The :mod:`repro.apps` mixed proxy generalized into a workload spec."""
+    """A CFD-style timestep mixing three collective families."""
     halo = 8192.0 if fast else 32768.0
     return WorkloadSpec(
         name="halo_mix",

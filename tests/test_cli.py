@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -161,6 +163,16 @@ class TestMain:
         assert main(["cache", "stats"]) == 2
         assert "REPRO_CACHE_DIR" in capsys.readouterr().err
 
+    def test_library_error_is_one_stderr_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2, 3]\n")
+        assert main(["report", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(bad) in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     def test_ext_subcommands_fast(self, capsys):
         assert main(["ext-nonblocking", "--nodes", "2", "--cores", "4",
                      "--fast"]) == 0
@@ -242,6 +254,7 @@ class TestProfile:
         code = main([
             "workload", "run", "halo_mix", "--fast",
             "--machine", "simcluster", "--nodes", "2", "--cores", "2",
+            "--shape", "ascending", "--max-skew", "2e-4",
             "--store", str(db), "--trace-out", "wl.json",
         ])
         assert code == 0
@@ -254,6 +267,38 @@ class TestProfile:
         assert code == 0
         out = capsys.readouterr().out
         assert "alltoall@" in out and "pattern replay:" in out
+
+    def test_trace_file_replays_and_reports(self, capsys, tmp_path,
+                                            monkeypatch):
+        from repro.obs.analysis import TraceAnalysis
+        from repro.patterns import read_pattern_file
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "--app", "ft", "--nodes", "2", "--cores", "4",
+                     "--iterations", "3", "--pattern-out", "ft.pattern"]) == 0
+        assert "wrote trace: app_trace.json" in capsys.readouterr().out
+        assert main(["workload", "replay", "app_trace.json", "--fast",
+                     "--machine", "simcluster", "--nodes", "2",
+                     "--cores", "4", "--no-cells"]) == 0
+        assert "alltoall@" in capsys.readouterr().out
+        assert main(["report", "app_trace.json", "-o", "report.html"]) == 0
+        assert (tmp_path / "report.html").exists()
+        derived = TraceAnalysis.from_file("app_trace.json").arrival_pattern(
+            "alltoall")
+        written = read_pattern_file("ft.pattern")
+        np.testing.assert_allclose(derived.skews, written.skews, rtol=1e-9,
+                                   atol=1e-9 * written.max_skew)
+
+    def test_fig1_metrics_count_the_traced_run(self, capsys, tmp_path):
+        metrics = tmp_path / "m.json"
+        assert main(["fig1", "--fast", "--metrics-out", str(metrics)]) == 0
+        header = re.search(r"(\d+) ranks, (\d+) calls",
+                           capsys.readouterr().out)
+        ranks, calls = map(int, header.groups())
+        payload = json.loads(metrics.read_text())
+        counter = payload["metrics"]["collective.calls.alltoall.pairwise"]
+        assert counter["value"] == ranks * calls
+        assert payload["engine"]["runs"] == 1
 
     def test_workload_contend_attributes_both_jobs(self, capsys):
         code = main([
@@ -272,8 +317,9 @@ class TestProfile:
                                   "--metrics-out", "m.json"])
         assert args.obs_trace_out == "t.json"
         assert args.obs_metrics_out == "m.json"
-        # The trace command keeps its app-trace flag; obs metrics still parse.
-        args = parser.parse_args(["trace", "--trace-out", "x.trace",
+        # The trace command writes its application trace through the same
+        # obs flag.
+        args = parser.parse_args(["trace", "--trace-out", "x.json",
                                   "--metrics-out", "m.json"])
-        assert args.trace_out == "x.trace"
+        assert args.obs_trace_out == "x.json"
         assert args.obs_metrics_out == "m.json"

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
-from repro.sim.engine import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Engine,
-    EngineStats,
-    disable_stats_aggregation,
-    enable_stats_aggregation,
-)
+from repro.sim.engine import ANY_SOURCE, ANY_TAG, Engine, EngineStats
 from repro.sim.mpi import build_engine, run_processes
 from repro.sim.network import NetworkModel, NetworkParams
 from repro.sim.platform import Platform
@@ -88,17 +82,15 @@ class TestEngineStats:
         assert total.peak_heap == max(a.peak_heap, b.peak_heap)
 
     def test_aggregation_collects_across_runs(self, plat):
-        agg = enable_stats_aggregation()
-        try:
+        with obs.session() as octx:
             first = run_processes(plat, exchange_prog)
             second = run_processes(plat, exchange_prog)
-        finally:
-            disable_stats_aggregation()
+        agg = octx.engine_stats
         assert agg.runs == 2
         assert agg.events_total == (
             first.engine_stats.events_total + second.engine_stats.events_total
         )
-        # Disabling stops further accumulation.
+        # Closing the session stops further accumulation.
         run_processes(plat, exchange_prog)
         assert agg.runs == 2
 

@@ -65,17 +65,15 @@ def test_full_pipeline_trace_to_rules_file(tmp_path):
     from repro.apps import FTProxy
     from repro.bench import MicroBenchmark, sweep_shared_skew
     from repro.sim.platform import get_machine
-    from repro.tracing import CollectiveTracer, max_observed_skew, pattern_from_trace
 
     spec = get_machine("hydra")
     nodes, cores = 4, 4
     p = nodes * cores
     ft = FTProxy.class_d_scaled(spec, nodes=nodes, cores_per_node=cores,
                                 seed=2, iterations=4)
-    tracer = CollectiveTracer()
-    ft.run(tracer)
-    scenario = pattern_from_trace(tracer, "alltoall", p)
-    skew = max_observed_skew(tracer, "alltoall", p)
+    _, trace = ft.trace()
+    scenario = trace.arrival_pattern("alltoall", name="ft_scenario")
+    skew = trace.imbalance("alltoall")["max_arrival_spread"]
     assert skew > 0
 
     bench = MicroBenchmark.from_machine(spec, nodes=nodes, cores_per_node=cores, nrep=1)

@@ -267,28 +267,6 @@ class TestEngineStatsAbsorption:
         # Outside the session nothing accumulates (and nothing crashes).
         absorb_engine_stats(s)
 
-    def test_legacy_process_accumulator_still_works(self):
-        from repro.sim.engine import (
-            EngineStats,
-            disable_stats_aggregation,
-            enable_stats_aggregation,
-        )
-        from repro.obs.context import absorb_engine_stats
-
-        agg = enable_stats_aggregation()
-        try:
-            s = EngineStats()
-            s.runs = 1
-            absorb_engine_stats(s)
-            assert agg.runs == 1
-            # A session and the process accumulator both see the report.
-            with session() as octx:
-                absorb_engine_stats(s)
-                assert octx.engine_stats.runs == 1
-            assert agg.runs == 2
-        finally:
-            disable_stats_aggregation()
-
 
 class TestPackageSurface:
     def test_public_reexports(self):

@@ -8,9 +8,7 @@ spread ``omega = max(a) - min(a)``.
 
 from __future__ import annotations
 
-import importlib
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -277,41 +275,6 @@ class TestDiffPayloads:
     def test_zero_baseline_counts_as_drift(self):
         (d,) = diff_payloads({"x": 0.0}, {"x": 1.0}, threshold=0.5)
         assert d["direction"] == "increase"
-
-
-class TestDeprecatedShim:
-    def test_old_module_warns_and_reexports(self):
-        sys.modules.pop("repro.tracing.analysis", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs.analysis"):
-            import repro.tracing.analysis as legacy
-        import repro.obs.analysis as current
-        assert legacy.average_delay_per_rank is current.average_delay_per_rank
-        assert legacy.max_observed_skew is current.max_observed_skew
-        assert legacy.pattern_from_trace is current.pattern_from_trace
-
-    def test_package_root_import_does_not_warn(self):
-        import warnings
-
-        sys.modules.pop("repro.tracing", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            importlib.import_module("repro.tracing")
-
-
-class TestTracerBasedReconstruction:
-    """The absorbed Section V-A helpers still work on tracer records."""
-
-    def test_pattern_from_trace_matches_by_hand(self):
-        from repro.obs.analysis import pattern_from_trace
-        from repro.tracing.tracer import CollectiveTracer
-
-        tracer = CollectiveTracer()
-        for seq, base in ((0, 0.0), (1, 1e-3)):
-            for rank, delay in enumerate((0.0, 2 * US, 4 * US)):
-                tracer.record("alltoall", seq, rank,
-                              arrival=base + delay, exit=base + delay + US)
-        pattern = pattern_from_trace(tracer, "alltoall", 3)
-        assert pattern.skews == pytest.approx([0.0, 2 * US, 4 * US])
 
 
 class TestExecutorMergedTraceAnalysis:
