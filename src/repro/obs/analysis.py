@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import TraceFormatError
 from repro.obs.export import load_perfetto, read_jsonl
-from repro.obs.linkstats import link_name
+from repro.obs.linkstats import link_name, link_totals
 from repro.obs.spans import VIRTUAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -492,6 +492,26 @@ class TraceAnalysis:
 
     # -- fabric links ------------------------------------------------------ #
 
+    def _link_rows(self, by_activity: bool = False) -> list[dict]:
+        """Per-link totals (:func:`~repro.obs.linkstats.link_totals`) as
+        rows, per link × activity with ``by_activity``, first-seen order."""
+        totals = link_totals(
+            ((int(r["port"]), int(r["cls"]), int(r["direction"]), r["start"],
+              r["end"], float(r["busy"]), float(r["nbytes"]),
+              int(r["messages"]), float(r["wait"]), r.get("activity") or "p2p")
+             for r in self.links),
+            by_activity)
+        rows = []
+        for key, (busy, nbytes, messages, wait) in totals.items():
+            port, cls, direction = key[:3]
+            row = {"port": port, "cls": cls, "direction": direction,
+                   "link": link_name(port, cls, direction)}
+            if by_activity:
+                row["activity"] = key[3]
+            row.update(busy=busy, bytes=nbytes, messages=messages, wait=wait)
+            rows.append(row)
+        return rows
+
     def link_usage(self) -> list[dict]:
         """Per-link utilization totals from the fabric link records.
 
@@ -500,22 +520,8 @@ class TraceAnalysis:
         whole trace — sorted by that key, so the output is deterministic.
         Empty when the trace was not a ``record_links=True`` session.
         """
-        totals: dict[tuple[int, int, int], dict] = {}
-        for r in self.links:
-            key = (int(r["port"]), int(r["cls"]), int(r["direction"]))
-            agg = totals.get(key)
-            if agg is None:
-                totals[key] = agg = {"busy": 0.0, "bytes": 0.0,
-                                     "messages": 0, "wait": 0.0}
-            agg["busy"] += float(r["busy"])
-            agg["bytes"] += float(r["nbytes"])
-            agg["messages"] += int(r["messages"])
-            agg["wait"] += float(r["wait"])
-        return [
-            {"port": p, "cls": c, "direction": d, "link": link_name(p, c, d),
-             **totals[(p, c, d)]}
-            for p, c, d in sorted(totals)
-        ]
+        return sorted(self._link_rows(),
+                      key=lambda r: (r["port"], r["cls"], r["direction"]))
 
     def link_attribution(self) -> list[dict]:
         """Contention wait charged per link × collective/algorithm.
@@ -527,24 +533,7 @@ class TraceAnalysis:
         the "which collective made this link hot" answer: sorted rows,
         heaviest attribution first within each link.
         """
-        waits: dict[tuple[int, int, int, str], dict] = {}
-        for r in self.links:
-            activity = r.get("activity") or "p2p"
-            key = (int(r["port"]), int(r["cls"]), int(r["direction"]),
-                   activity)
-            agg = waits.get(key)
-            if agg is None:
-                waits[key] = agg = {"busy": 0.0, "bytes": 0.0,
-                                    "messages": 0, "wait": 0.0}
-            agg["busy"] += float(r["busy"])
-            agg["bytes"] += float(r["nbytes"])
-            agg["messages"] += int(r["messages"])
-            agg["wait"] += float(r["wait"])
-        rows = [
-            {"port": p, "cls": c, "direction": d, "link": link_name(p, c, d),
-             "activity": act, **waits[(p, c, d, act)]}
-            for p, c, d, act in waits
-        ]
+        rows = self._link_rows(by_activity=True)
         rows.sort(key=lambda r: (r["port"], r["cls"], r["direction"],
                                  -r["wait"], -r["busy"], r["activity"]))
         return rows

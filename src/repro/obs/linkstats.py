@@ -1,28 +1,30 @@
 """Fabric link statistics: bounded busy-interval recording per port.
 
-The simulator's cost model is a set of FIFO *ports* — one injection (tx)
-and one extraction (rx) port per rank, plus one shared pair per node when
-shared-NIC modelling is on — and every message claims port time with the
-recurrence ``start = max(ready, port_free); port_free = start + tx_time``.
-That recurrence *is* the fabric: a port whose claims queue up is a hot
-link, and ``start - ready`` is exactly the time a message waited on
-contention rather than on its own transmission.
+The simulator's cost model is a set of FIFO *ports* in one index space:
+rank ``r``'s private port is ``r`` and node ``n``'s shared NIC is
+``p + n`` (``p`` ranks), each with an injection (tx) and an extraction
+(rx) side.  A message claims its owner's node NIC when it crosses nodes
+under shared-NIC modelling and the owner's private port otherwise, with
+the recurrence ``start = max(ready, port_free); port_free = start +
+tx_time``.  That recurrence *is* the fabric: a port whose claims queue up
+is a hot link, and ``start - ready`` is exactly the time a message waited
+on contention rather than on its own transmission.
 
 :class:`LinkStatsRecorder` captures those claims.  Mirroring
 :class:`~repro.obs.spans.SpanRecorder`, it is a bounded ring (overflow
 drops the oldest records and counts them in :attr:`dropped`) and the
 disabled-mode cost in the engine is a single ``None`` check per message.
-Records are plain tuples, not objects: the exact engine appends one per
-port claim on its hottest path, and tuple construction is the cheapest
-thing CPython can allocate.
+Records are plain tuples, not objects: the exact engine records one per
+port claim, through :meth:`LinkStatsRecorder.record`.
 
 Record layout (see :data:`FIELDS`)::
 
     (port, cls, direction, start, end, busy, nbytes, messages, wait, activity)
 
 * ``port`` — ``>= 0``: the rank owning a private NIC port; ``< 0``: a
-  shared node port, encoded ``-(node + 1)`` so the two index spaces can
-  never collide (see :func:`port_name`).
+  shared node port, recorded ``-(node + 1)`` (:func:`encode_port`) so a
+  record names its port without knowing the job size (see
+  :func:`port_name`).
 * ``cls`` — link class, indexing :data:`CLASS_NAMES`: 1 intra-node,
   2 inter-node same group, 3 cross-group.  Self-messages (class 0) claim
   no port time and are never recorded.
@@ -42,12 +44,14 @@ Both engines feed the same recorder: the exact engine records one tuple
 per port claim, and the flow engine (:mod:`repro.sim.flow`) writes one
 synthetic aggregate per ``(port, class, direction)`` per batch, so exact
 and hybrid runs of the same case paint the same per-link byte totals.
+:func:`link_totals` sums records per link for every consumer (the gauges
+here and the :class:`~repro.obs.analysis.TraceAnalysis` tables).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
 #: Default ring capacity (records).  A record is one 10-tuple (~200 bytes
 #: with its boxed floats), bounding the recorder at ~40 MB worst case.
@@ -63,6 +67,13 @@ DIRECTION_NAMES = ("tx", "rx")
 #: Field names of one record tuple, in order.
 FIELDS = ("port", "cls", "direction", "start", "end", "busy", "nbytes",
           "messages", "wait", "activity")
+
+
+def encode_port(port: int, num_procs: int) -> int:
+    """Recorded form of an engine port index: a rank's private port keeps
+    its index, node ``n``'s NIC (index ``num_procs + n``) becomes
+    ``-(n + 1)``."""
+    return port if port < num_procs else num_procs - 1 - port
 
 
 def port_name(port: int) -> str:
@@ -133,17 +144,7 @@ class LinkStatsRecorder:
         path (:func:`repro.obs.expose.render_prometheus`).  Returns the
         number of distinct links published.
         """
-        totals: dict[tuple[int, int, int], list[float]] = {}
-        for port, cls, direction, _s, _e, busy, nbytes, messages, wait, _a \
-                in self.records:
-            agg = totals.get((port, cls, direction))
-            if agg is None:
-                totals[(port, cls, direction)] = [busy, nbytes, messages, wait]
-            else:
-                agg[0] += busy
-                agg[1] += nbytes
-                agg[2] += messages
-                agg[3] += wait
+        totals = link_totals(self.records)
         for (port, cls, direction), (busy, nbytes, messages, wait) \
                 in sorted(totals.items()):
             labels = {"port": port_name(port), "link_class": CLASS_NAMES[cls],
@@ -155,6 +156,31 @@ class LinkStatsRecorder:
         return len(totals)
 
 
+def link_totals(records: Iterable[tuple],
+                by_activity: bool = False) -> dict[tuple, list]:
+    """Sum ``[busy, nbytes, messages, wait]`` per link over record tuples.
+
+    Keys are ``(port, cls, direction)``, or ``(port, cls, direction,
+    activity)`` with ``by_activity``, in first-seen order.  Sums run in
+    record order, so every consumer (gauges, usage, attribution) gets
+    bit-identical totals.
+    """
+    totals: dict[tuple, list] = {}
+    for port, cls, direction, _s, _e, busy, nbytes, messages, wait, activity \
+            in records:
+        key = ((port, cls, direction, activity) if by_activity
+               else (port, cls, direction))
+        agg = totals.get(key)
+        if agg is None:
+            totals[key] = [busy, nbytes, messages, wait]
+        else:
+            agg[0] += busy
+            agg[1] += nbytes
+            agg[2] += messages
+            agg[3] += wait
+    return totals
+
+
 __all__ = [
     "DEFAULT_LINK_CAPACITY",
     "CLASS_NAMES",
@@ -162,6 +188,8 @@ __all__ = [
     "TX",
     "RX",
     "FIELDS",
+    "encode_port",
+    "link_totals",
     "port_name",
     "link_name",
     "LinkStatsRecorder",

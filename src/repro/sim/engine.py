@@ -21,11 +21,21 @@ Messaging follows a LogGP-flavoured cost model (see
 :class:`repro.sim.network.NetworkModel`):
 
 * the sender pays a CPU overhead ``o`` per message,
-* the message occupies the sender's private *injection port* for
-  ``bytes / bandwidth`` seconds (back-to-back sends serialize),
-* the wire adds latency ``L`` (intra- or inter-node),
-* optionally the message occupies the receiver's *extraction port*
+* the message occupies an *injection port* for ``bytes / bandwidth``
+  seconds (back-to-back sends serialize),
+* the wire adds latency ``L``,
+* optionally the message occupies an *extraction port* at the receiver
   (incast serialization).
+
+Latency and bandwidth come from the message's link class
+(:meth:`~repro.sim.network.NetworkModel.link_class`).  Ports share one
+index space: rank ``r``'s private port is ``r`` and node ``n``'s shared
+NIC is ``num_procs + n``.  Inter-node traffic claims the node NIC of the
+side that owns the port (sender for injection, receiver for extraction)
+under shared-NIC modelling; everything else claims the rank's private
+port.  :meth:`Engine._claim` is the one claim routine (the eager send in
+:meth:`Engine.post_isend` inlines it); with link telemetry on, each claim
+is one :meth:`~repro.obs.linkstats.LinkStatsRecorder.record` call.
 
 Messages up to the eager threshold use the *eager* protocol (the sender
 never blocks on the receiver).  Larger messages use *rendezvous*: an RTS
@@ -83,6 +93,7 @@ from typing import Any, Iterator
 from repro.errors import DeadlockError, ProtocolError, SimulationError
 from repro.obs.context import absorb_engine_stats as _absorb_engine_stats
 from repro.obs.context import current as _obs_current
+from repro.obs.linkstats import RX, TX, encode_port
 from repro.obs.spans import msg_track as _msg_track
 from repro.sim.network import NetworkModel
 
@@ -234,7 +245,6 @@ class Request:
         "waiters",
         "eager",
         "arrival",
-        "tx_time",
         "activity",
     )
 
@@ -256,10 +266,6 @@ class Request:
         self.waiters: Any = None
         self.eager = True
         self.arrival = 0.0
-        # Port occupancy of this message (send requests only): the sender
-        # computes it once and the receiver's extraction port reuses it —
-        # transmission time is symmetric along a path.
-        self.tx_time = 0.0
 
     @property
     def done(self) -> bool:
@@ -343,7 +349,7 @@ class _Fiber:
 
 
 class _Proc:
-    """Engine-internal rank-level state (ports, queues, fibers).
+    """Engine-internal rank-level state (queues, fibers).
 
     The matching dicts map ``(src, tag)`` to *either* a single entry (the
     overwhelmingly common case — one pending item per envelope) *or* a
@@ -356,8 +362,6 @@ class _Proc:
     __slots__ = (
         "rank",
         "fibers",
-        "tx_free",
-        "rx_free",
         "unexpected",
         "posted",
         "wild_posted",
@@ -366,8 +370,6 @@ class _Proc:
     def __init__(self, rank: int) -> None:
         self.rank = rank
         self.fibers: list[_Fiber] = [_Fiber(self, None, 0.0)]
-        self.tx_free = 0.0
-        self.rx_free = 0.0
         # (src, tag) -> arrived-but-unmatched send request, or deque thereof.
         self.unexpected: dict[tuple[int, int], Any] = {}
         # (src, tag) -> posted-but-unmatched recv request, or deque thereof.
@@ -434,9 +436,12 @@ class Engine:
         # of O(messages-in-flight) — the difference between log2(~2k) and
         # log2(~1M) comparisons per pop in a 1024-rank linear alltoall.
         self._chains: dict[Any, deque] = {}
-        # Shared per-node NIC ports for inter-node traffic (see NetworkModel).
-        self._node_tx_free = [0.0] * network.num_nodes
-        self._node_rx_free = [0.0] * network.num_nodes
+        # One port index space: rank r's private port is r, node n's shared
+        # NIC is num_procs + n.  Each list holds every port's free time on
+        # one side: injection (tx) and extraction (rx).  See _claim.
+        self.num_ports = num_procs + network.num_nodes
+        self._tx_free = [0.0] * self.num_ports
+        self._rx_free = [0.0] * self.num_ports
         self._node_of = network.node_of
         self._group_of = network.group_of
         # Run-scoped observability (repro.obs).  Captured once at engine
@@ -453,6 +458,11 @@ class Engine:
         # session opted into link recording: every port claim would record
         # one tuple, so the disabled path must stay a single None check.
         self._obs_link = octx.links if octx.enabled else None
+        # Recorded form (encode_port) of every port index: a list lookup
+        # per claim costs less than a call.
+        self._link_port = ([encode_port(i, num_procs)
+                            for i in range(self.num_ports)]
+                           if self._obs_link is not None else None)
 
     # ------------------------------------------------------------------ #
     # Event plumbing
@@ -575,10 +585,7 @@ class Engine:
                     self._deliver(a)
                 elif kind == _EV_RNDV:
                     n_rndv += 1
-                    proc = self.procs[a.peer]
-                    delivered = self._extract(proc, time, a.nbytes, a.owner,
-                                              a.activity)
-                    self._finish_recv(proc, b, a, delivered)
+                    self._finish_recv(b, a, time)
                 else:  # _EV_START
                     n_start += 1
                     self._resume(a, first=True)
@@ -855,80 +862,41 @@ class Engine:
         req.activity = self.activity
         fib.now += net.send_overhead
         if nbytes <= net.eager_max and not sync:
-            # Inlined cost model + injection-port claim.  The link class
-            # (self / intra / inter / group) picks latency and bandwidth; the
-            # port is the node NIC for inter-node traffic under shared-NIC
-            # modelling, the rank's private port otherwise.  Chain key =
-            # port index and class packed into one int (no tuple per send).
+            # Inlined _claim of the injection port: this is the exact
+            # engine's hottest path, where each method call shows.  The
+            # delivery chain key packs the port index and the link class
+            # into one int (no tuple per send).
             node_of = self._node_of
             src_node = node_of[src]
-            ready = fib.now
-            if src_node == node_of[dst]:
-                if src == dst:
-                    lat = 0.0
-                    tx_time = 0.0
-                    ckey = src << 2
-                else:
-                    lat = net.intra_lat
-                    tx_time = nbytes * net.intra_inv_bw
-                    ckey = (src << 2) | 1
-                start = proc.tx_free
-                if ready > start:
-                    start = ready
-                tx_end = start + tx_time
-                proc.tx_free = tx_end
+            if src == dst:
+                cls = 0
+            elif src_node == node_of[dst]:
+                cls = 1
             else:
                 group_of = self._group_of
-                if group_of[src] == group_of[dst]:
-                    lat = net.inter_lat
-                    tx_time = nbytes * net.inter_inv_bw
-                    cls = 2
-                else:
-                    lat = net.group_lat
-                    tx_time = nbytes * net.group_inv_bw
-                    cls = 3
-                if net.shared_node_nic:
-                    free = self._node_tx_free
-                    start = free[src_node]
-                    if ready > start:
-                        start = ready
-                    tx_end = start + tx_time
-                    free[src_node] = tx_end
-                    ckey = ((self.num_procs + src_node) << 2) | cls
-                else:
-                    start = proc.tx_free
-                    if ready > start:
-                        start = ready
-                    tx_end = start + tx_time
-                    proc.tx_free = tx_end
-                    ckey = (src << 2) | cls
+                cls = 2 if group_of[src] == group_of[dst] else 3
+            port = (self.num_procs + src_node
+                    if cls > 1 and net.shared_node_nic else src)
+            free = self._tx_free
+            ready = fib.now
+            start = free[port]
+            if ready > start:
+                start = ready
+            free[port] = tx_end = start + nbytes * net.inv_bw_of[cls]
             req.eager = True
-            req.tx_time = tx_time
             req.complete_time = tx_end
-            req.arrival = arrival = tx_end + lat
-            self._schedule_chained(ckey, arrival, _EV_DELIVER, req)
+            req.arrival = arrival = tx_end + net.lat_of[cls]
+            self._schedule_chained((port << 2) | cls, arrival, _EV_DELIVER,
+                                   req)
             links = self._obs_link
-            if links is not None and ckey & 3:
-                # ckey packs (port index << 2) | class; self-sends have
-                # class 0 and claim no port time, so they fall through.
-                # Inlined LinkStatsRecorder.record: this is the exact
-                # engine's hottest path and a bound-method call per
-                # message would dominate the recording cost.
-                recs = links.records
-                if len(recs) == links.capacity:
-                    links.dropped += 1
-                pidx = ckey >> 2
-                recs.append((
-                    pidx if pidx < self.num_procs
-                    else self.num_procs - 1 - pidx,
-                    ckey & 3, 0, start, tx_end, tx_end - start, nbytes, 1,
-                    start - ready, self.activity,
-                ))
+            if links is not None and cls:
+                links.record(self._link_port[port], cls, TX,
+                             start, tx_end, nbytes, start - ready,
+                             self.activity)
         else:
             # Rendezvous: the RTS travels now; data moves once matched.
             lat = net.latency(src, dst)
             req.eager = False
-            req.tx_time = 0.0
             req.complete_time = None
             req.arrival = arrival = fib.now + lat
             self._schedule_chained(("rts", src, lat), arrival, _EV_DELIVER, req)
@@ -981,7 +949,7 @@ class Engine:
         else:
             msg = self._match_unexpected_wild(proc, src, tag)
         if msg is not None:
-            self._complete_match(proc, req, msg)
+            self._complete_match(req, msg)
         else:
             posted = proc.posted
             cur = posted.get(key)
@@ -1056,7 +1024,7 @@ class Engine:
     def _deliver(self, msg: Request) -> None:
         """Handle arrival of an eager payload or a rendezvous RTS at the
         receiver.  The exact-envelope eager case — essentially every message
-        of a collective — runs fully inlined: one posted-queue probe,
+        of a collective — runs inline: one posted-queue probe, the
         extraction-port claim, receive completion, waiter notification."""
         proc = self.procs[msg.peer]
         if not proc.wild_posted:
@@ -1086,61 +1054,13 @@ class Engine:
             else:
                 unexpected[key] = deque((cur, msg))
         elif msg.eager:
+            # Inlined _finish_recv: essentially every collective message
+            # completes here.
             ready = recv_req.post_time
             if msg.arrival > ready:
                 ready = msg.arrival
-            # Inlined extraction-port claim; the sender already computed the
-            # (symmetric) port occupancy in msg.tx_time.
-            net = self.network
-            if net.rx_serialization:
-                node_of = self._node_of
-                dst_node = node_of[msg.peer]
-                if net.shared_node_nic and node_of[msg.owner] != dst_node:
-                    free = self._node_rx_free
-                    start = free[dst_node]
-                    if ready > start:
-                        start = ready
-                    end = start + msg.tx_time
-                    free[dst_node] = end
-                    links = self._obs_link
-                    if links is not None:
-                        # Inlined extraction-port record (see post_isend):
-                        # shared-NIC rx means inter-node, so the class is
-                        # 2 (same group) or 3 (cross-group) directly.
-                        recs = links.records
-                        if len(recs) == links.capacity:
-                            links.dropped += 1
-                        group_of = self._group_of
-                        recs.append((
-                            -1 - dst_node,
-                            2 if group_of[msg.owner] == group_of[msg.peer]
-                            else 3,
-                            1, start, end, end - start, msg.nbytes, 1,
-                            start - ready, msg.activity,
-                        ))
-                    ready = end
-                else:
-                    start = proc.rx_free
-                    if ready > start:
-                        start = ready
-                    end = start + msg.tx_time
-                    proc.rx_free = end
-                    links = self._obs_link
-                    if links is not None and msg.owner != msg.peer:
-                        recs = links.records
-                        if len(recs) == links.capacity:
-                            links.dropped += 1
-                        if node_of[msg.owner] == dst_node:
-                            cls = 1
-                        else:
-                            group_of = self._group_of
-                            cls = (2 if group_of[msg.owner]
-                                   == group_of[msg.peer] else 3)
-                        recs.append((
-                            msg.peer, cls, 1, start, end, end - start,
-                            msg.nbytes, 1, start - ready, msg.activity,
-                        ))
-                    ready = end
+            ready = self._claim(self._rx_free, RX, msg.owner, msg.peer, ready,
+                                msg.nbytes, msg.activity)
             recv_req.complete_time = ready
             recv_req.payload = msg.payload
             recv_req.source_rank = msg.owner
@@ -1149,111 +1069,61 @@ class Engine:
                 self._record_msg(msg, ready)
             self._notify_waiters(recv_req)
         else:
-            self._complete_match(proc, recv_req, msg)
+            self._complete_match(recv_req, msg)
 
-    def _complete_match(self, proc: _Proc, recv_req: Request, msg: Request) -> None:
+    def _complete_match(self, recv_req: Request, msg: Request) -> None:
         """A send and a receive have met; finish the transfer."""
-        net = self.network
+        ready = max(recv_req.post_time, msg.arrival)
         if msg.eager:
-            ready = max(recv_req.post_time, msg.arrival)
-            delivered = self._extract(proc, ready, msg.nbytes, msg.owner,
-                                      msg.activity)
-            self._finish_recv(proc, recv_req, msg, delivered)
-        else:
-            # Rendezvous handshake: CTS back to the sender, then the data.
-            src, dst = msg.owner, msg.peer
-            handshake_done = max(recv_req.post_time, msg.arrival)
-            cts_arrival = handshake_done + net.latency(dst, src)
-            tx_end, port = self._claim_tx(self.procs[src], dst, cts_arrival,
-                                          msg.nbytes, msg.activity)
-            msg.complete_time = tx_end
-            self._notify_waiters(msg)
-            lat = net.latency(src, dst)
-            self._schedule_chained((port, lat), tx_end + lat, _EV_RNDV, msg, recv_req)
+            self._finish_recv(recv_req, msg, ready)
+            return
+        # Rendezvous handshake: CTS back to the sender, then the data.  The
+        # data deliveries of one sender and latency arrive in claim order,
+        # so they share one event chain.
+        src, dst = msg.owner, msg.peer
+        lat = self.network.latency(src, dst)
+        tx_end = self._claim(self._tx_free, TX, src, dst, ready + lat,
+                             msg.nbytes, msg.activity)
+        msg.complete_time = tx_end
+        self._notify_waiters(msg)
+        self._schedule_chained((src, lat), tx_end + lat, _EV_RNDV, msg,
+                               recv_req)
 
-    def _claim_tx(self, proc: _Proc, dst: int, ready: float, nbytes: int,
-                  activity: str | None = None) -> tuple[float, int]:
-        """Claim injection-port time: the node NIC for inter-node messages
-        (when shared-NIC modelling is on), the rank's private port otherwise.
-        Returns ``(grant_end, port_index)``; the port index keys the delivery
-        event chain (node ports follow the rank ports in the index space)."""
-        net = self.network
-        tx_time = net.transmission_time(proc.rank, dst, nbytes)
-        src_node = self._node_of[proc.rank]
-        if net.shared_node_nic and src_node != self._node_of[dst]:
-            start = max(ready, self._node_tx_free[src_node])
-            end = start + tx_time
-            self._node_tx_free[src_node] = end
-            links = self._obs_link
-            if links is not None:
-                # Inlined record (see post_isend): the rendezvous CTS path
-                # claims one injection port per data message.  Shared-NIC
-                # means inter-node, so the class is 2 or 3 directly.
-                recs = links.records
-                if len(recs) == links.capacity:
-                    links.dropped += 1
-                group_of = self._group_of
-                recs.append((
-                    -1 - src_node,
-                    2 if group_of[proc.rank] == group_of[dst] else 3,
-                    0, start, end, end - start, nbytes, 1, start - ready,
-                    activity,
-                ))
-            return end, self.num_procs + src_node
-        start = max(ready, proc.tx_free)
-        end = start + tx_time
-        proc.tx_free = end
-        links = self._obs_link
-        if links is not None and proc.rank != dst:
-            recs = links.records
-            if len(recs) == links.capacity:
-                links.dropped += 1
-            if src_node == self._node_of[dst]:
-                cls = 1
-            else:
-                group_of = self._group_of
-                cls = 2 if group_of[proc.rank] == group_of[dst] else 3
-            recs.append((
-                proc.rank, cls, 0, start, end, end - start, nbytes, 1,
-                start - ready, activity,
-            ))
-        return end, proc.rank
+    def _claim(self, free: list[float], direction: int, src: int, dst: int,
+               ready: float, nbytes: float, activity: str | None) -> float:
+        """Claim FIFO port time for one ``src -> dst`` message; return its end.
 
-    def _extract(self, proc: _Proc, ready: float, nbytes: int, src: int,
-                 activity: str | None = None) -> float:
-        """Serialize the message through the receiver's extraction port."""
+        ``free`` is :attr:`_tx_free` (``direction`` :data:`TX`, the sender's
+        side) or :attr:`_rx_free` (:data:`RX`, the receiver's side).  The
+        port is the side owner's node NIC for inter-node traffic under
+        shared-NIC modelling and the owner's private port otherwise; the
+        claim starts at ``max(ready, free[port])`` and holds the port for
+        ``nbytes`` at the link class's bandwidth.  Without rx serialization
+        an extraction claim is a no-op that returns ``ready``.
+        """
         net = self.network
-        if not net.rx_serialization:
+        if direction == RX and not net.rx_serialization:
             return ready
-        rx_time = net.transmission_time(src, proc.rank, nbytes)
-        dst_node = self._node_of[proc.rank]
-        if net.shared_node_nic and self._node_of[src] != dst_node:
-            rx_start = max(ready, self._node_rx_free[dst_node])
-            delivered = rx_start + rx_time
-            self._node_rx_free[dst_node] = delivered
-            port = -1 - dst_node
-        else:
-            rx_start = max(ready, proc.rx_free)
-            delivered = rx_start + rx_time
-            proc.rx_free = delivered
-            port = proc.rank
+        cls = net.link_class(src, dst)
+        owner = dst if direction == RX else src
+        port = (self.num_procs + self._node_of[owner]
+                if cls > 1 and net.shared_node_nic else owner)
+        start = free[port]
+        if ready > start:
+            start = ready
+        free[port] = end = start + nbytes * net.inv_bw_of[cls]
         links = self._obs_link
-        if links is not None and src != proc.rank:
-            recs = links.records
-            if len(recs) == links.capacity:
-                links.dropped += 1
-            if self._node_of[src] == dst_node:
-                cls = 1
-            else:
-                group_of = self._group_of
-                cls = 2 if group_of[src] == group_of[proc.rank] else 3
-            recs.append((
-                port, cls, 1, rx_start, delivered, delivered - rx_start,
-                nbytes, 1, rx_start - ready, activity,
-            ))
-        return delivered
+        if links is not None and cls:
+            links.record(self._link_port[port], cls, direction,
+                         start, end, nbytes, start - ready, activity)
+        return end
 
-    def _finish_recv(self, proc: _Proc, recv_req: Request, msg: Request, when: float) -> None:
+    def _finish_recv(self, recv_req: Request, msg: Request,
+                     ready: float) -> None:
+        """Serialize ``msg`` through the receiver's extraction port, then
+        complete ``recv_req``."""
+        when = self._claim(self._rx_free, RX, msg.owner, msg.peer, ready,
+                           msg.nbytes, msg.activity)
         recv_req.complete_time = when
         recv_req.payload = msg.payload
         recv_req.source_rank = msg.owner

@@ -79,6 +79,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.context import current as _obs_current
+from repro.obs.linkstats import RX, TX, encode_port
 from repro.sim.engine import _EV_RESUME, Engine
 
 ENGINE_MODES = ("exact", "hybrid", "flow")
@@ -200,32 +201,36 @@ def get_descriptor(collective: str, algorithm: str):
 class _NetTables:
     """Link-class lookup arrays for the engine's cost model.
 
-    Class indices mirror the exact engine: 1 = intra-node, 2 = inter-node
-    same group, 3 = cross-group (self-messages never occur in bulk phases).
+    Class indices are :meth:`~repro.sim.network.NetworkModel.link_class`'s:
+    1 = intra-node, 2 = inter-node same group, 3 = cross-group
+    (self-messages never occur in bulk phases).  ``num_ports`` is the size
+    of the engine's port index space (ranks ``0..p-1``, node NICs
+    ``p + node``).
     """
 
     __slots__ = (
-        "p", "node_of", "group_of", "lat", "inv_bw", "shared", "rx_ser",
-        "o", "ro", "eager_max", "uniform", "multi_group", "private_ports",
+        "p", "num_ports", "node_of", "group_of", "lat", "inv_bw", "shared",
+        "rx_ser", "o", "ro", "eager_max", "uniform", "multi_group",
+        "private_ports",
     )
 
     def __init__(self, engine: Engine) -> None:
         net = engine.network
         p = engine.num_procs
         self.p = p
+        self.num_ports = engine.num_ports
         self.node_of = np.asarray(net.node_of[:p], dtype=np.int64)
         self.group_of = np.asarray(net.group_of[:p], dtype=np.int64)
-        self.lat = np.array([0.0, net.intra_lat, net.inter_lat, net.group_lat])
-        self.inv_bw = np.array(
-            [0.0, net.intra_inv_bw, net.inter_inv_bw, net.group_inv_bw]
-        )
+        self.lat = np.array(net.lat_of)
+        self.inv_bw = np.array(net.inv_bw_of)
         self.shared = bool(net.shared_node_nic)
         self.rx_ser = bool(net.rx_serialization)
         self.o = net.send_overhead
         self.ro = net.recv_overhead
         self.eager_max = net.eager_max
         self.multi_group = bool(np.unique(self.group_of).size > 1) and (
-            net.group_lat != net.inter_lat or net.group_inv_bw != net.inter_inv_bw
+            net.lat_of[3] != net.lat_of[2]
+            or net.inv_bw_of[3] != net.inv_bw_of[2]
         )
         # Link-class uniformity: every possible message shares one (latency,
         # bandwidth) class.  True when all ranks share a node (all intra) or
@@ -256,27 +261,29 @@ class _NetTables:
             return np.where(same_node, 1, np.where(grp[src] == grp[dst], 2, 3))
         return np.where(same_node, 1, 2)
 
+    def ports(self, owners: np.ndarray, cls: np.ndarray) -> np.ndarray:
+        """Port index each claim uses: the owner's node NIC ``p + node``
+        for inter-node traffic under shared-NIC modelling, the owner's
+        private port otherwise (the exact engine's rule)."""
+        if not self.shared:
+            return owners
+        return np.where(cls >= 2, self.p + self.node_of[owners], owners)
+
 
 class _PortState:
-    """Snapshot of every injection/extraction port's ``free`` time."""
+    """Snapshot of every port's ``free`` time, in the engine's index space."""
 
-    __slots__ = ("tx", "rx", "node_tx", "node_rx")
+    __slots__ = ("tx", "rx")
 
     def __init__(self, engine: Engine) -> None:
-        self.tx = np.array([proc.tx_free for proc in engine.procs])
-        self.rx = np.array([proc.rx_free for proc in engine.procs])
-        self.node_tx = np.array(engine._node_tx_free)
-        self.node_rx = np.array(engine._node_rx_free)
+        self.tx = np.array(engine._tx_free)
+        self.rx = np.array(engine._rx_free)
 
     def write_back(self, engine: Engine) -> None:
         # Plain python floats keep the exact engine's hot path free of
         # numpy scalar overhead after the batch.
-        for proc, v in zip(engine.procs, self.tx):
-            proc.tx_free = float(v)
-        for proc, v in zip(engine.procs, self.rx):
-            proc.rx_free = float(v)
-        engine._node_tx_free = [float(v) for v in self.node_tx]
-        engine._node_rx_free = [float(v) for v in self.node_rx]
+        engine._tx_free = self.tx.tolist()
+        engine._rx_free = self.rx.tolist()
 
 
 class _LinkAccum:
@@ -299,8 +306,7 @@ class _LinkAccum:
 
     def __init__(self, nt: _NetTables) -> None:
         self.p = nt.p
-        num_nodes = int(nt.node_of.max()) + 1
-        self.size = (nt.p + num_nodes) * 4
+        self.size = nt.num_ports * 4
         # Index 0 = tx (injection), 1 = rx (extraction), as in linkstats.
         self.busy = np.zeros((2, self.size))
         self.nbytes = np.zeros((2, self.size))
@@ -337,9 +343,8 @@ class _LinkAccum:
             wait = self.wait[direction][idx].tolist()
             msgs = self.msgs[direction][idx].tolist()
             for i, key in enumerate(idx.tolist()):
-                port = key >> 2
                 recorder.record_batch(
-                    port if port < p else p - 1 - port, key & 3, direction,
+                    encode_port(key >> 2, p), key & 3, direction,
                     start, end, busy[i], nbytes[i], int(msgs[i]), wait[i],
                     activity)
 
@@ -381,6 +386,33 @@ def _seq_chain(a: np.ndarray, t: np.ndarray, free0: float) -> tuple[np.ndarray, 
         start = stop
 
 
+def _port_chains(free: np.ndarray, ports: np.ndarray, ready: np.ndarray,
+                 t: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Run every port's claim chain; return each claim's end time.
+
+    Claim ``i`` is ready at ``ready[i]`` and holds port ``ports[i]`` for
+    ``t[i]``.  Claims of one port are chained (:func:`_seq_chain`) in
+    ``order`` (a permutation; default: index order), starting from and
+    updating ``free[port]``.
+    """
+    if order is None:
+        perm = np.argsort(ports, kind="stable")
+    else:
+        perm = order[np.argsort(ports[order], kind="stable")]
+    ports_sorted = ports[perm]
+    ready_sorted = ready[perm]
+    t_sorted = t[perm]
+    ends_out = np.empty(ports.size)
+    bounds = np.flatnonzero(np.diff(ports_sorted)) + 1
+    for b0, b1 in zip(np.concatenate(([0], bounds)),
+                      np.concatenate((bounds, [ports.size]))):
+        port = int(ports_sorted[b0])
+        ends, free[port] = _seq_chain(ready_sorted[b0:b1], t_sorted[b0:b1],
+                                      free[port])
+        ends_out[perm[b0:b1]] = ends
+    return ends_out
+
+
 # --------------------------------------------------------------------- #
 # Phase replays
 # --------------------------------------------------------------------- #
@@ -401,12 +433,8 @@ def _replay_stepped(
     sequence, which is exact because the dispatcher's single-owner scan
     guarantees at most one rank claims any node port during the phase.
     """
-    p = nt.p
-    ranks = np.arange(p)
-    node_r = nt.node_of
+    ranks = np.arange(nt.p)
     tx, rx = state.tx, state.rx
-    node_tx, node_rx = state.node_tx, state.node_rx
-    shared = nt.shared
     now = entries.copy()
     for dst, src, sbytes in plan.steps():
         now = now + nt.o          # isend: post, clock advance
@@ -423,50 +451,30 @@ def _replay_stepped(
         else:
             handshake = np.maximum(ready[dst], ready + lat)
             claim_ready = np.where(eager, ready, handshake + lat)
-        shared_o = (cls >= 2) if shared else None
-        if shared:
-            free_eff = np.where(shared_o, node_tx[node_r], tx)
-        else:
-            free_eff = tx
-        tx_start = np.maximum(claim_ready, free_eff)
+        ports = nt.ports(ranks, cls)
+        tx_start = np.maximum(claim_ready, tx[ports])
         tx_end = tx_start + tx_time
-        if shared:
-            tx = np.where(shared_o, tx, tx_end)
-            node_tx[node_r[shared_o]] = tx_end[shared_o]
-        else:
-            tx = tx_end
+        tx[ports] = tx_end
         if accum is not None:
-            ports = np.where(shared_o, p + node_r, ranks) if shared else ranks
-            accum.add(0, ports, cls, tx_time, sbytes, tx_start - claim_ready)
+            accum.add(TX, ports, cls, tx_time, sbytes, tx_start - claim_ready)
         # Receiver side: rank r's inbound message comes from src[r]; its
         # sender-side quantities are gathers of the arrays above.
         arrival_in = tx_end[src] + lat[src]
         rx_time_in = tx_time[src]
         a_val = np.where(eager[src], np.maximum(ready, arrival_in), arrival_in)
         if nt.rx_ser:
-            if shared:
-                shared_i = cls[src] >= 2
-                free_eff = np.where(shared_i, node_rx[node_r], rx)
-            else:
-                free_eff = rx
-            rx_start = np.maximum(a_val, free_eff)
+            ports = nt.ports(ranks, cls[src])
+            rx_start = np.maximum(a_val, rx[ports])
             delivered = rx_start + rx_time_in
-            if shared:
-                rx = np.where(shared_i, rx, delivered)
-                node_rx[node_r[shared_i]] = delivered[shared_i]
-            else:
-                rx = delivered
+            rx[ports] = delivered
             if accum is not None:
-                ports = (np.where(shared_i, p + node_r, ranks)
-                         if shared else ranks)
-                accum.add(1, ports, cls[src], rx_time_in,
+                accum.add(RX, ports, cls[src], rx_time_in,
                           np.broadcast_to(np.asarray(sbytes, dtype=float),
-                                          (p,))[src],
+                                          (nt.p,))[src],
                           rx_start - a_val)
         else:
             delivered = a_val
         now = np.maximum(np.maximum(now, tx_end), delivered)
-    state.tx, state.rx = tx, rx
     return now
 
 
@@ -484,9 +492,9 @@ def _replay_linear(
     once, so *all* posts of a rank execute in its single arrival resume —
     port claims interleave across ranks in **gate-arrival order** (``order``),
     send-index minor.  Receiver extraction ports are claimed at delivery
-    events, globally ordered by ``(arrival, schedule seq)``; the stable
-    two-key sort below reproduces that order exactly, and every port's
-    claim sequence is then evaluated with :func:`_seq_chain`.
+    events, globally ordered by ``(arrival, schedule seq)``; a stable sort
+    by arrival reproduces that order exactly.  :func:`_port_chains` then
+    evaluates every port's claim sequence on each side.
     """
     p = nt.p
     m = p - 1
@@ -525,66 +533,17 @@ def _replay_linear(
     lat = nt.lat[cls]
 
     # --- injection-port claims, in (arrival position, send index) order ---
-    tx_end = np.empty((p, m))
-    shared_elem = (cls >= 2) if nt.shared else np.zeros((p, m), dtype=bool)
-    # One pass instead of p flatnonzero row scans: np.nonzero is row-major,
-    # which IS the claim order (arrival position major, send index minor).
-    pr_rows, pr_cols = np.nonzero(~shared_elem)
-    row_bounds = np.searchsorted(pr_rows, np.arange(p + 1))
-    tx_state = state.tx
-    for a in range(p):                      # private chains: <= cores-1 each
-        b0, b1 = row_bounds[a], row_bounds[a + 1]
-        if b0 == b1:
-            continue
-        idx = pr_cols[b0:b1]
-        r = int(rank_of_pos[a])
-        ends, last = _seq_chain(ready[a, idx], tx_time[a, idx], tx_state[r])
-        tx_end[a, idx] = ends
-        tx_state[r] = last
-    if nt.shared:
-        # A row's shared elements all claim the same node port (the
-        # sender's node), so grouping by node only needs a p-row sort; the
-        # row-major order of np.nonzero already matches the claim order
-        # within and across the rows of one node.
-        sh_rows, sh_cols = np.nonzero(shared_elem)
-        if sh_rows.size:
-            flat_sh = sh_rows.astype(np.int64) * m + sh_cols
-            counts = np.bincount(sh_rows, minlength=p)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            row_node = nt.node_of[rank_of_pos]
-            rperm = np.argsort(row_node, kind="stable")
-            # Segmented arange: concatenate each sorted row's element range.
-            lens = counts[rperm]
-            total = int(lens.sum())
-            if total:
-                seg_off = np.repeat(np.cumsum(lens) - lens, lens)
-                gather = np.repeat(starts[rperm], lens) + (
-                    np.arange(total) - seg_off
-                )
-                sel_flat = flat_sh[gather]
-                node_sorted = np.repeat(row_node[rperm], lens)
-                ready_f = ready.ravel()[sel_flat]
-                txt_f = tx_time.ravel()[sel_flat]
-                tx_end_flat = tx_end.ravel()
-                bounds = np.flatnonzero(np.diff(node_sorted)) + 1
-                for b0, b1 in zip(
-                    np.concatenate(([0], bounds)),
-                    np.concatenate((bounds, [total])),
-                ):
-                    node = int(node_sorted[b0])
-                    ends, last = _seq_chain(
-                        ready_f[b0:b1], txt_f[b0:b1], state.node_tx[node]
-                    )
-                    tx_end_flat[sel_flat[b0:b1]] = ends
-                    state.node_tx[node] = last
+    # Row-major order IS the claim order (arrival position major, send
+    # index minor).
+    tx_ports = nt.ports(np.broadcast_to(src_col, (p, m)), cls)
+    tx_end = _port_chains(state.tx, tx_ports.ravel(), ready.ravel(),
+                          tx_time.ravel()).reshape(p, m)
 
     if accum is not None:
         # The chains only surface end times, so the aggregate reconstructs
         # start = end - tx_time; wait can differ from the exact engine's in
         # the last ulp (clamped at zero), while bytes/messages are exact.
-        tx_ports = np.where(shared_elem, p + nod_s,
-                            np.broadcast_to(src_col, (p, m)))
-        accum.add(0, tx_ports, cls, tx_time, plan.msg_bytes,
+        accum.add(TX, tx_ports, cls, tx_time, plan.msg_bytes,
                   np.maximum(tx_end - tx_time - ready, 0.0))
 
     # --- deliveries: extraction-port claims in (arrival, seq) order ---
@@ -592,34 +551,15 @@ def _replay_linear(
     recv_idx = (src_col - (src_col > dst)).astype(np.int32)
     a_val = np.maximum(recv_post_rank[dst, recv_idx], arrival)
     if nt.rx_ser:
-        res_id = np.where(shared_elem, p + nod_d, dst)
-        arrival_f = arrival.ravel()
-        res_f = res_id.ravel()
+        rx_ports = nt.ports(dst, cls)
         # All times are positive finite, so the IEEE-754 bit pattern viewed
         # as uint64 sorts identically to the float — and integer keys take
         # numpy's radix path, several times faster at p^2 scale.
-        perm1 = np.argsort(arrival_f.view(np.uint64), kind="stable")
-        perm = perm1[np.argsort(res_f[perm1], kind="stable")]
-        res_sorted = res_f[perm]
-        a_f = a_val.ravel()[perm]
-        txt_f = tx_time.ravel()[perm]
-        delivered_f = np.empty(p * m)
-        bounds = np.flatnonzero(np.diff(res_sorted)) + 1
-        for b0, b1 in zip(
-            np.concatenate(([0], bounds)),
-            np.concatenate((bounds, [res_sorted.size])),
-        ):
-            res = int(res_sorted[b0])
-            free0 = state.rx[res] if res < p else state.node_rx[res - p]
-            ends, last = _seq_chain(a_f[b0:b1], txt_f[b0:b1], free0)
-            delivered_f[perm[b0:b1]] = ends
-            if res < p:
-                state.rx[res] = last
-            else:
-                state.node_rx[res - p] = last
-        delivered = delivered_f.reshape(p, m)
+        by_arrival = np.argsort(arrival.ravel().view(np.uint64), kind="stable")
+        delivered = _port_chains(state.rx, rx_ports.ravel(), a_val.ravel(),
+                                 tx_time.ravel(), by_arrival).reshape(p, m)
         if accum is not None:
-            accum.add(1, res_id, cls, tx_time, plan.msg_bytes,
+            accum.add(RX, rx_ports, cls, tx_time, plan.msg_bytes,
                       np.maximum(delivered - tx_time - a_val, 0.0))
     else:
         delivered = a_val
@@ -862,10 +802,9 @@ class FlowRuntime:
         if cached is not None:
             return cached
         ranks = np.arange(nt.p)
-        node = nt.node_of
-        num_nodes = int(node.max()) + 1
-        tx_owner = np.full(num_nodes, -1, dtype=np.int64)
-        rx_owner = np.full(num_nodes, -1, dtype=np.int64)
+        # Claiming rank per port index (-1: unclaimed so far).
+        tx_owner = np.full(nt.num_ports, -1, dtype=np.int64)
+        rx_owner = np.full(nt.num_ports, -1, dtype=np.int64)
         ok = True
         prev_dst = prev_src = None
         for dst, src, _sbytes in plan.steps():
@@ -879,20 +818,18 @@ class FlowRuntime:
                 continue
             prev_dst, prev_src = dst, src
             cls = nt.classes(ranks, dst)
-            for inter, owner, claimant in (
-                (cls >= 2, tx_owner, ranks),
-                ((cls[src] >= 2) if nt.rx_ser else None, rx_owner, ranks),
+            for owner, ports in (
+                (tx_owner, nt.ports(ranks, cls)),
+                (rx_owner, nt.ports(ranks, cls[src]) if nt.rx_ser else None),
             ):
-                if inter is None or not inter.any():
+                if ports is None:
                     continue
-                c_ranks = claimant[inter]
-                c_nodes = node[c_ranks]
-                prev = owner[c_nodes]
-                if (np.any((prev != -1) & (prev != c_ranks))
-                        or np.unique(c_nodes).size != c_nodes.size):
+                prev = owner[ports]
+                if (np.any((prev != -1) & (prev != ranks))
+                        or np.unique(ports).size != ports.size):
                     ok = False
                     break
-                owner[c_nodes] = c_ranks
+                owner[ports] = ranks
             if not ok:
                 break
         self._owner_cache[key] = ok

@@ -3,9 +3,10 @@
 The model distinguishes two link levels, mirroring the paper's simulation
 platform (Section III-A): *intra-node* (ranks on the same node communicate
 through shared memory) and *inter-node* (through the switch).  Each level has
-its own latency and bandwidth.  On top of the per-link cost the model charges
-a constant CPU overhead per posted send/receive and serializes messages
-through per-rank injection (and optionally extraction) ports.
+its own latency and bandwidth, and an optional third level prices traffic
+between node groups.  On top of the per-link cost the model charges a
+constant CPU overhead per posted send/receive; the engine serializes
+messages through FIFO injection (and optionally extraction) ports.
 
 The mapping from rank to node comes from the :class:`~repro.sim.platform.Platform`.
 """
@@ -64,13 +65,14 @@ class NetworkParams:
 class NetworkModel:
     """Prices messages between ranks of a :class:`Platform`.
 
-    The hot methods (:meth:`latency`, :meth:`transmission_time`) are called
-    once or twice per simulated message, so node lookups are precomputed
-    into a flat list.  The precomputed fields (``node_of``, ``group_of``,
-    ``intra_lat``/``inter_lat``/``group_lat``, the ``*_inv_bw`` inverse
-    bandwidths, ``eager_max``) are deliberately public: the engine's inlined
-    send path reads them directly instead of paying two method calls per
-    message.
+    Every message travels over one *link class* (:meth:`link_class`):
+    0 self, 1 intra-node, 2 inter-node within a group, 3 cross-group.  The
+    class indexes the per-class ``lat_of`` latency and ``inv_bw_of``
+    inverse-bandwidth tables, which :meth:`latency`,
+    :meth:`transmission_time`, the engine's inlined send path and the flow
+    replay's vector tables all read.  The precomputed fields (``node_of``,
+    ``group_of``, the two tables, ``eager_max``) are deliberately public so
+    the engine's hot path can read them without method calls.
     """
 
     platform: Platform
@@ -85,23 +87,20 @@ class NetworkModel:
         self.recv_overhead = self.params.recv_overhead
         self.rx_serialization = self.params.rx_serialization
         self.shared_node_nic = self.params.shared_node_nic
-        self.intra_lat = self.params.intra_latency
-        self.inter_lat = self.params.inter_latency
-        self.intra_inv_bw = 1.0 / self.params.intra_bandwidth
-        self.inter_inv_bw = 1.0 / self.params.inter_bandwidth
         self.eager_max = self.params.eager_threshold
         self.group_of = self.platform.group_of_rank_table()
-        self.group_lat = (
-            self.params.group_latency
-            if self.params.group_latency is not None
-            else self.params.inter_latency
-        )
-        group_bw = (
-            self.params.group_bandwidth
-            if self.params.group_bandwidth is not None
-            else self.params.inter_bandwidth
-        )
-        self.group_inv_bw = 1.0 / group_bw
+        params = self.params
+        group_lat = (params.group_latency if params.group_latency is not None
+                     else params.inter_latency)
+        group_bw = (params.group_bandwidth
+                    if params.group_bandwidth is not None
+                    else params.inter_bandwidth)
+        #: Latency and inverse bandwidth per link class (self messages cost
+        #: nothing).
+        self.lat_of = (0.0, params.intra_latency, params.inter_latency,
+                       group_lat)
+        self.inv_bw_of = (0.0, 1.0 / params.intra_bandwidth,
+                          1.0 / params.inter_bandwidth, 1.0 / group_bw)
 
     def same_node(self, a: int, b: int) -> bool:
         return self._node_of[a] == self._node_of[b]
@@ -109,25 +108,22 @@ class NetworkModel:
     def is_eager(self, nbytes: int) -> bool:
         return nbytes <= self.eager_max
 
+    def link_class(self, src: int, dst: int) -> int:
+        """Link class of ``src -> dst``: 0 self, 1 intra-node, 2 inter-node
+        in the same group, 3 cross-group (symmetric in its arguments)."""
+        if src == dst:
+            return 0
+        if self._node_of[src] == self._node_of[dst]:
+            return 1
+        return 2 if self.group_of[src] == self.group_of[dst] else 3
+
     def latency(self, src: int, dst: int) -> float:
         """Wire latency between two ranks (zero for a self-message)."""
-        if src == dst:
-            return 0.0
-        if self._node_of[src] == self._node_of[dst]:
-            return self.intra_lat
-        if self.group_of[src] == self.group_of[dst]:
-            return self.inter_lat
-        return self.group_lat
+        return self.lat_of[self.link_class(src, dst)]
 
     def transmission_time(self, src: int, dst: int, nbytes: int) -> float:
         """Time the message occupies an injection/extraction port."""
-        if src == dst:
-            return 0.0
-        if self._node_of[src] == self._node_of[dst]:
-            return nbytes * self.intra_inv_bw
-        if self.group_of[src] == self.group_of[dst]:
-            return nbytes * self.inter_inv_bw
-        return nbytes * self.group_inv_bw
+        return nbytes * self.inv_bw_of[self.link_class(src, dst)]
 
     def point_to_point_time(self, src: int, dst: int, nbytes: int) -> float:
         """Analytic cost of one isolated message (no port contention).

@@ -181,20 +181,27 @@ class TestMain:
 
 class TestProfile:
     def test_profile_emits_timeline_and_perfetto_trace(self, capsys, tmp_path):
+        from repro.obs.analysis import TraceAnalysis
         from repro.obs.export import load_perfetto, rank_tracks
 
         trace = tmp_path / "trace.json"
+        metrics = tmp_path / "metrics.json"
+        svg = tmp_path / "links.svg"
         code = main([
             "profile", "--nodes", "2", "--cores", "4",
             "--collective", "alltoall", "--algorithm", "pairwise",
             "--msg-bytes", "1KiB",
-            "--trace-out", str(trace),
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+            "--links", "--links-out", str(svg),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "virtual timeline" in out
         assert "alltoall/pairwise" in out
         assert f"wrote trace: {trace}" in out
+        assert "fabric weather map" in out
+        assert f"wrote link heatmap: {svg}" in out
+        assert svg.read_text().startswith("<svg")
         loaded = load_perfetto(trace)
         # One track per rank, each carrying arrival->exit collective spans.
         assert rank_tracks(loaded) == [f"rank {r}" for r in range(8)]
@@ -202,6 +209,14 @@ class TestProfile:
                 if e.get("ph") == "X" and e["name"] == "alltoall/pairwise"]
         assert len(coll) >= 8
         assert all(e["dur"] > 0 for e in coll)
+        assert json.loads(metrics.read_text())["engine"]["runs"] >= 2
+        # 2 nodes in one group: intra- and inter-node links are both hot.
+        ana = TraceAnalysis.from_file(trace)
+        usage = ana.link_usage()
+        assert {row["cls"] for row in usage} == {1, 2}
+        for cls in (1, 2):
+            assert any(r["busy"] > 0 for r in usage if r["cls"] == cls)
+        assert ana.dropped_links == 0
 
     def test_profile_default_trace_filename(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -168,13 +168,37 @@ def test_owner_scan_verdict_is_cached():
 
 
 def test_flow_engages_on_eligible_cell():
-    prog = _single_collective_prog("alltoall", "basic_linear", ARGS)
-    engine = _run_flow(HETERO, prog, FlowConfig(mode="hybrid", declared_spread=0.0))
-    rt = engine.flow_runtime
-    assert rt.batches == 1
-    assert rt.fallback_calls == 0
-    assert rt.messages_collapsed == 64 * 63
-    assert engine.events_processed <= 4 * 64
+    """An eligible cell collapses into one flow batch: runtime and obs
+    counters agree and the event count stays at the O(p) start/resume
+    skeleton.  The 4096-rank pairwise case guards the scale benchmarks
+    against silently falling back to per-message simulation (a descriptor
+    rename or an eligibility-rule change would still finish, just slowly)."""
+    wide = Platform("probe", nodes=4096, cores_per_node=1)
+    wide_args = CollArgs(count=4, msg_bytes=1024.0)
+    wide_data = np.zeros((wide.num_ranks, wide_args.count))
+
+    def wide_prog(ctx):
+        yield from run_collective(ctx, "alltoall", "pairwise", wide_args,
+                                  wide_data)
+
+    cases = [
+        (HETERO, "basic_linear",
+         _single_collective_prog("alltoall", "basic_linear", ARGS),
+         FlowConfig(mode="hybrid", declared_spread=0.0)),
+        (wide, "pairwise", wide_prog,
+         FlowConfig(mode="hybrid", declared_spread=0.0, payloads=False)),
+    ]
+    for plat, algorithm, prog, flow in cases:
+        p = plat.num_ranks
+        with obs.session(meta={"test": "flow_engages"}) as octx:
+            engine = _run_flow(plat, prog, flow)
+            snap = octx.metrics.snapshot()
+        rt = engine.flow_runtime
+        assert rt.batches == 1, algorithm
+        assert snap[f'flow.batches{{algorithm="{algorithm}"}}']["value"] == 1
+        assert rt.fallback_calls == 0, algorithm
+        assert rt.messages_collapsed == p * (p - 1)
+        assert 0 < engine.events_processed <= 4 * p, algorithm
 
 
 def test_shared_contention_falls_back():

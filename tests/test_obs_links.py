@@ -2,23 +2,28 @@
 
 Covers the ``record_links=True`` path end to end: a hand-computed
 shared-NIC case where the attributed contention wait equals the known
-serialization delay, exact-vs-hybrid per-link aggregate parity, export
-round trips, the labeled fallback-reason counters, ring-overflow
-surfacing, and the ASCII/SVG renderers.
+serialization delay, exact-vs-hybrid per-link aggregate parity, pinned
+digests of every record on each claim path, export round trips, the
+labeled fallback-reason counters, ring-overflow surfacing, and the
+ASCII/SVG renderers.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro import obs
-from repro.collectives import run_collective
+from repro.collectives import make_input, run_collective
 from repro.collectives.base import CollArgs
 from repro.obs.analysis import TraceAnalysis
 from repro.obs.linkstats import RX, TX, LinkStatsRecorder, link_name, port_name
 from repro.reporting.weather import render_weather_map
 from repro.sim.flow import FlowConfig
 from repro.sim.mpi import run_processes
+from repro.sim.network import NetworkParams
 from repro.sim.platform import Platform
 
 HETERO = Platform(name="hetero", nodes=16, cores_per_node=4)
@@ -130,6 +135,99 @@ class TestExactHybridLinkParity:
         hh = hybrid.link_hotspots(top=1)[0]
         assert (he["port"], he["cls"], he["direction"]) == \
             (hh["port"], hh["cls"], hh["direction"])
+
+
+# --------------------------------------------------------------------- #
+# Record pins: every link tuple, bit for bit
+# --------------------------------------------------------------------- #
+
+
+GROUPED = Platform(name="grouped", nodes=4, cores_per_node=4, nodes_per_group=2)
+
+
+def _links_digest(octx) -> tuple[int, str]:
+    """(record count, digest of every record tuple's repr) — repr keeps
+    each float's exact value and each field's type."""
+    records = list(octx.links)
+    return len(records), hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+def _claim_paths_prog(ctx):
+    """Eager, rendezvous and self sends to an intra-node, an inter-node and
+    a cross-group peer, then a pairwise alltoall.  Rank-dependent entry
+    times put some messages on the expected path (receive already posted)
+    and some on the unexpected one; odd ranks send before they receive."""
+    r = ctx.rank
+    yield ctx.wait_until((r % 3) * 3e-6)
+    for nbytes in (1024, 65536):
+        reqs = []
+        for sending in ((True, False) if r % 2 else (False, True)):
+            for peer in (r ^ 1, r ^ 4, r ^ 8, r):
+                reqs.append(ctx.isend(peer, nbytes) if sending
+                            else ctx.irecv(peer, nbytes=nbytes))
+        yield ctx.waitall(reqs)
+    data = np.arange(ctx.size * 4, dtype=np.float64).reshape(ctx.size, -1)
+    yield from run_collective(ctx, "alltoall", "pairwise",
+                              CollArgs(count=4, msg_bytes=1024.0), data)
+
+
+#: Network variant -> (params, record count, digest).  Captured before the
+#: engine's ports moved into one index space with one claim path; any
+#: change here is a cost-model or telemetry change, not a refactor.
+EXACT_LINK_PINS = {
+    "default": (NetworkParams(), 672, "f3f9e00d2bd5cf5c"),
+    "private_nic": (NetworkParams(shared_node_nic=False),
+                    672, "ae8563ccde4a4233"),
+    "no_rx_serialization": (NetworkParams(rx_serialization=False),
+                            336, "77a23844882d8852"),
+}
+
+#: Hybrid case -> (collective, algorithm, nodes, cores, args, record count,
+#: digest) of the flow engine's per-batch aggregates.
+HYBRID_LINK_PINS = {
+    "alltoall_basic_linear_16x4": (
+        "alltoall", "basic_linear", 16, 4,
+        CollArgs(count=8, msg_bytes=2048.0), 160, "d64f854c0dfe6012"),
+    "alltoall_pairwise_64x1": (
+        "alltoall", "pairwise", 64, 1,
+        CollArgs(count=4, msg_bytes=1024.0), 128, "6f590cd41c416511"),
+    "allreduce_ring_8x8": (
+        "allreduce", "ring", 8, 8,
+        CollArgs(count=128, msg_bytes=524288.0), 128, "3d91d884c4b1aacc"),
+}
+
+
+class TestLinkRecordPins:
+    """Every record of every claim path, pinned: eager and rendezvous
+    claims, private and shared node ports, with and without extraction
+    serialization, all three link classes, and the flow aggregates."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_LINK_PINS))
+    def test_exact_engine_records(self, name):
+        params, count, digest = EXACT_LINK_PINS[name]
+        with obs.session(record_links=True) as octx:
+            run_processes(GROUPED, _claim_paths_prog, params=params)
+        assert octx.links.dropped == 0
+        assert {r[1] for r in octx.links} == {1, 2, 3}
+        assert _links_digest(octx) == (count, digest)
+
+    @pytest.mark.parametrize("name", sorted(HYBRID_LINK_PINS))
+    def test_hybrid_aggregates(self, name):
+        collective, algorithm, nodes, cores, args, count, digest = \
+            HYBRID_LINK_PINS[name]
+        plat = Platform(name=name, nodes=nodes, cores_per_node=cores)
+
+        def prog(ctx):
+            data = make_input(collective, ctx.rank, ctx.size, args.count)
+            yield from run_collective(ctx, collective, algorithm, args, data)
+
+        flow = FlowConfig(mode="hybrid", declared_spread=0.0, payloads=False)
+        with obs.session(record_links=True) as octx:
+            run_processes(plat, prog, flow=flow)
+            batches = octx.metrics.snapshot()[
+                f'flow.batches{{algorithm="{algorithm}"}}']["value"]
+        assert batches == 1
+        assert _links_digest(octx) == (count, digest)
 
 
 # --------------------------------------------------------------------- #

@@ -58,6 +58,10 @@ class TestThreeLevelNetwork:
         assert model.latency(0, 1) == 0.5e-6  # same node
         assert model.latency(0, 2) == 1.0e-6  # same group, different node
         assert model.latency(0, 4) == 2.0e-6  # different group
+        # Link classes index the per-class tables: self, intra, inter, group.
+        assert [model.link_class(0, d) for d in (0, 1, 2, 4)] == [0, 1, 2, 3]
+        assert model.link_class(4, 0) == 3
+        assert model.lat_of == (0.0, 0.5e-6, 1.0e-6, 2.0e-6)
 
     def test_group_bandwidth(self, grouped_platform):
         model = NetworkModel(
