@@ -139,10 +139,19 @@ def _flow_result_fn(collective: str, args: CollArgs):
     The gate collects every rank's input; the batch resolver calls this
     once with the full input list and distributes ``out[rank]`` as each
     rank's collective result — :func:`reference_result` by construction,
-    which every exact algorithm is already validated against.
+    which every exact algorithm is already validated against.  Alltoall,
+    allreduce and allgather build every rank's result in one pass; each
+    rank still gets its own buffer.
     """
 
     def result_fn(inputs):
+        if collective == "alltoall":
+            # Row r of the stack is rank r's result: block r of every input.
+            return list(np.stack(inputs, axis=1))
+        if collective in ("allreduce", "allgather"):
+            # Every rank's reference result is the same array.
+            shared = reference_result(collective, inputs, args, 0)
+            return [shared.copy() for _ in inputs]
         return [
             reference_result(collective, inputs, args, rank)
             for rank in range(len(inputs))

@@ -21,9 +21,10 @@ cost model, evaluated in closed form:
   and rendezvous completion rules) is replicated operation-for-operation,
   in the same order, so results are **bit-identical** to exact simulation
   whenever the flow path engages (see ``tests/test_engine_parity.py``);
-* ``np.add.accumulate`` on float64 is a strict left fold, which makes
-  saturated port chains evaluable in O(resets) vectorized passes
-  (:func:`_seq_chain`) without changing a single rounding step.
+* a port's claim chain splits into stretches of claims that find the port
+  idle (``ready + t`` each) and claims that queue (``np.add.accumulate`` on
+  float64 is a strict left fold), so :func:`_seq_chain` evaluates it in
+  one vectorized pass per stretch without changing a single rounding step.
 
 The provable-exactness domain splits on port ownership:
 
@@ -359,11 +360,16 @@ def _seq_chain(a: np.ndarray, t: np.ndarray, free0: float) -> tuple[np.ndarray, 
 
     This is the engine's port-claim recurrence for one port's claim
     sequence (``a`` = per-claim ready times in claim order, ``t`` =
-    transmission times).  ``np.add.accumulate`` on float64 is a strict
-    left fold, so a run with no resets (``a_j <= end_{j-1}``) is evaluated
-    in one vector pass with bit-identical rounding; each pass extends to
-    the first reset, then re-bases.  Saturated ports — the regime flow
-    batching targets — reset O(1) times.  Returns (ends, final_free).
+    transmission times).  The chain splits into *stretches*: runs of
+    claims that find the port idle (``a_j > end_{j-1}``, so ``end_j =
+    a_j + t_j``) and runs that queue behind the previous claim (``end_j =
+    end_{j-1} + t_j``: a strict left fold, which is what
+    ``np.add.accumulate`` computes on float64).  Each pass evaluates one
+    stretch in one vector operation and extends to the first claim that
+    leaves it; a one-element peek at the pass's second claim picks the
+    stretch kind.  Every claim gets the scalar recurrence's own rounding
+    (one max, then one add), so results are bit-identical, at one pass per
+    stretch.  Returns (ends, final_free).
     """
     n = a.shape[0]
     out = np.empty(n)
@@ -371,16 +377,27 @@ def _seq_chain(a: np.ndarray, t: np.ndarray, free0: float) -> tuple[np.ndarray, 
     prev = free0
     while True:
         base = a[start] if a[start] > prev else prev
-        seg = np.empty(n - start + 1)
-        seg[0] = base
-        seg[1:] = t[start:]
-        np.add.accumulate(seg, out=seg)
-        ends = seg[1:]
-        viol = np.flatnonzero(a[start + 1 :] > ends[:-1])
-        if viol.size == 0:
+        first = base + t[start]
+        if start + 1 < n and a[start + 1] > first:
+            # Idle stretch: each claim starts at its own ready time.
+            ends = a[start:] + t[start:]
+            ends[0] = first
+            leave = a[start + 1 :] <= ends[:-1]
+        else:
+            # Queued stretch: each claim starts when the previous one ends.
+            seg = np.empty(n - start + 1)
+            seg[0] = base
+            seg[1:] = t[start:]
+            np.add.accumulate(seg, out=seg)
+            ends = seg[1:]
+            leave = a[start + 1 :] > ends[:-1]
+        # The first claim that leaves the stretch; argmax stops there, where
+        # flatnonzero would index every later one too.
+        j = int(leave.argmax()) if leave.size else 0
+        if not leave.size or not leave[j]:
             out[start:] = ends
             return out, float(out[-1])
-        stop = start + 1 + int(viol[0])
+        stop = start + 1 + j
         out[start:stop] = ends[: stop - start]
         prev = float(out[stop - 1])
         start = stop

@@ -122,6 +122,8 @@ def test_selection_outcome_parity():
 # ===================================================================== #
 
 from repro.sim.flow import FlowConfig  # noqa: E402
+from repro.sim.network import NetworkParams  # noqa: E402
+from repro.sim.platform import get_machine  # noqa: E402
 
 FLOW_COMBOS = [
     ("alltoall", "basic_linear"),
@@ -158,10 +160,11 @@ def _flow_prog(seq, skews=None):
     return prog
 
 
-def _assert_hybrid_bitwise(plat, seq, skews, declared, expect_flow):
-    exact = run_processes(plat, _flow_prog(seq, skews))
+def _assert_hybrid_bitwise(plat, seq, skews, declared, expect_flow,
+                           params=None):
+    exact = run_processes(plat, _flow_prog(seq, skews), params=params)
     hybrid = run_processes(
-        plat, _flow_prog(seq, skews),
+        plat, _flow_prog(seq, skews), params=params,
         flow=FlowConfig(mode="hybrid", declared_spread=declared),
     )
     assert hybrid.final_time == exact.final_time          # bitwise, not approx
@@ -212,6 +215,46 @@ def test_hybrid_parity_skewed(pname, coll, algo, shape):
     declared = float(skews.max() - skews.min())
     _assert_hybrid_bitwise(plat, [(coll, algo)], skews, declared,
                            _expect_engage(pname, coll, algo, skewed=True))
+
+
+# The paper's Table I machines run 70-200 Gbit/s links, so a 2 KiB message
+# spends less time on the wire than the send overhead and most port claims
+# find their port idle.  Default NetworkParams (10 Gbit/s) saturate every
+# chain; these cases cover the idle-port regime of the replays.
+HYDRA_NET = NetworkParams(**get_machine("hydra").network)
+
+
+@pytest.mark.parametrize("pname", ["hetero16x4", "uniform64x1"])
+@pytest.mark.parametrize("coll,algo", FLOW_COMBOS)
+@pytest.mark.parametrize("shape", ["aligned", "ascending"])
+def test_hybrid_parity_hydra_network(pname, coll, algo, shape):
+    nodes, cores = FLOW_PLATFORMS[pname]
+    plat = Platform(pname, nodes=nodes, cores_per_node=cores)
+    skewed = shape != "aligned"
+    skews, declared = None, 0.0
+    if skewed:
+        skews = generate_pattern(shape, plat.num_ranks, max_skew=200e-6,
+                                 seed=13).skews
+        declared = float(skews.max() - skews.min())
+    _assert_hybrid_bitwise(
+        plat, [(coll, algo)], skews, declared,
+        _expect_engage(pname, coll, algo, skewed=skewed),
+        params=HYDRA_NET,
+    )
+
+
+@pytest.mark.parametrize("coll,algo", [("alltoall", "basic_linear"),
+                                       ("allgather", "ring")])
+def test_hybrid_parity_discoverer_group_tier(coll, algo):
+    # Two Dragonfly+ groups of eight nodes: intra-node, inter-node and
+    # cross-group link classes in one phase.
+    spec = get_machine("discoverer")
+    plat = spec.platform.scaled(16, 4)
+    _assert_hybrid_bitwise(
+        plat, [(coll, algo)], None, 0.0,
+        _expect_engage("hetero16x4", coll, algo, skewed=False),
+        params=NetworkParams(**spec.network),
+    )
 
 
 def test_hybrid_parity_multi_collective_sequence():

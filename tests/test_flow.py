@@ -3,7 +3,8 @@
 The bitwise hybrid-vs-exact sweeps live in ``test_engine_parity.py``; this
 file covers the building blocks: the sequential port-chain kernel, platform
 classification, dispatch eligibility (including fallback reasons and their
-counters), gate protocol errors, and the engine's max_events diagnostics.
+counters), gate protocol errors, batch results, and the engine's max_events
+diagnostics.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.collectives import CollArgs, run_collective
+from repro.collectives import CollArgs, make_input, run_collective
+from repro.collectives.api import _flow_result_fn, reference_result
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.flow import (
     ENGINE_MODES,
@@ -102,6 +104,65 @@ def test_seq_chain_busy_port_serializes():
     ends, last = _seq_chain(a, t, 10.0)
     assert ends.tolist() == [11.0, 12.0, 13.0, 14.0]
     assert last == 14.0
+
+
+def _regime_chains(regime):
+    """``(a, t, free0)`` chains whose claims find the port as ``regime`` says.
+
+    Transmission times stay below 1e-7 s, so a ready-time gap of at least
+    2e-6 s finds the port idle even after thirteen queued claims, and a gap
+    below 1e-8 s queues behind the claim before.
+    """
+    rng = np.random.default_rng(0)
+    n = 300
+    t = rng.uniform(1e-8, 1e-7, n)
+    idle_gaps = rng.uniform(2e-6, 4e-6, n)
+    queued_gaps = rng.uniform(0.0, 1e-8, n)
+    if regime == "idle":
+        return [(np.cumsum(idle_gaps), t, 0.0)]
+    if regime == "saturated":
+        a = np.cumsum(queued_gaps)
+        return [(a, t, float(a[0])), (a, t, 0.0)]
+    if regime == "alternating":
+        # Stretches of 1 to 13 claims, idle and queued in turn, so each
+        # kind comes in every length.
+        stretch = np.repeat(np.arange(26), np.arange(26) % 13 + 1)
+        m = stretch.size
+        a = np.cumsum(np.where(stretch % 2 == 0, idle_gaps[:m], queued_gaps[:m]))
+        return [(a, t[:m], 0.0)]
+    # Edges: exact ties a[j] == end[j-1], free0 above every ready time, and
+    # single-claim chains.
+    a = np.cumsum(idle_gaps)
+    for j in range(5, n, 11):
+        a[j] = _seq_chain_scalar(a[:j], t[:j], 0.0)[1]
+    return [
+        (a, t, 0.0),
+        (a, t, float(a[-1]) + 1e-6),
+        (a[:1], t[:1], 0.0),
+        (a[:1], t[:1], float(a[0]) + 1e-6),
+    ]
+
+
+@pytest.mark.parametrize("regime", ["idle", "saturated", "alternating", "edges"])
+def test_seq_chain_regimes_match_scalar_fold(regime):
+    chains = _regime_chains(regime)
+    for a, t, free0 in chains:
+        ends, last = _seq_chain(a, t, free0)
+        ref_ends, ref_last = _seq_chain_scalar(a, t, free0)
+        assert np.array_equal(ends, ref_ends)     # bitwise, not approx
+        assert last == ref_last
+    # The first chain exercises what the regime names.
+    a, t, free0 = chains[0]
+    ref_ends, _ = _seq_chain_scalar(a, t, free0)
+    idle = a[1:] > ref_ends[:-1]
+    if regime == "idle":
+        assert idle.all()
+    elif regime == "saturated":
+        assert not idle.any()
+    elif regime == "alternating":
+        assert np.count_nonzero(np.diff(idle)) >= 20
+    else:
+        assert np.count_nonzero(a[1:] == ref_ends[:-1]) >= 20
 
 
 # --------------------------------------------------------------------- #
@@ -328,6 +389,37 @@ def test_payloads_disabled_returns_none():
     )
     assert all(r is None for r in result.rank_results)
     assert result.final_time > 0
+
+
+# --------------------------------------------------------------------- #
+# Batch results
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("collective", ["alltoall", "allgather", "allreduce",
+                                        "barrier"])
+@pytest.mark.parametrize("p", [2, 5, 16])
+@pytest.mark.parametrize("kind", ["make_input", "float"])
+def test_batch_results_match_reference(collective, p, kind):
+    """A flow batch hands every rank its reference result in its own buffer."""
+    args = CollArgs(count=3, msg_bytes=24.0)
+    inputs = [make_input(collective, r, p, args.count) for r in range(p)]
+    if kind == "float":
+        rng = np.random.default_rng(p)
+        inputs = [rng.standard_normal(x.shape) for x in inputs]
+    results = _flow_result_fn(collective, args)(inputs)
+    assert len(results) == p
+    for rank, got in enumerate(results):
+        want = reference_result(collective, inputs, args, rank)
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    arrays = [r for r in results if r is not None]
+    for i, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
+        assert not any(np.shares_memory(x, y) for y in inputs)
 
 
 # --------------------------------------------------------------------- #
