@@ -80,8 +80,10 @@ class MicroBenchmark:
         (always flow — analytic approximation under skew).  See
         :mod:`repro.sim.flow`.
     flow_tolerance:
-        Hybrid-mode arrival-spread tolerance in seconds; patterns whose
-        declared skew spread exceeds it take the exact path.
+        Hybrid-mode arrival-spread tolerance in seconds for stepped plans
+        on shared node ports; patterns whose declared skew spread exceeds
+        it take the exact path there.  Linear plans and stepped plans on
+        private ports engage at any declared spread.
     """
 
     platform: Platform

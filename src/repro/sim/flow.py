@@ -5,11 +5,10 @@ discrete event — perfect fidelity, but a 16k-rank linear alltoall is ~256M
 messages and hopeless at one heap pop per message.  This module adds the
 escape hatch: collectives *declare* the regular bulk phases of their
 schedules via :func:`phase_descriptor` plans, and when every rank of a
-communicator reaches such a phase together (arrival spread within the
-configured tolerance), the engine collapses the whole phase into **one
-event per rank** — a :class:`FlowGate` that blocks all ranks, replays the
-phase's port-claim recurrences with vectorized numpy, writes the port state
-back, and resumes every rank at its computed exit time.
+communicator reaches such a phase, the engine collapses the whole phase
+into **one event per rank** — a :class:`FlowGate` that blocks all ranks,
+replays the phase's port-claim recurrences with vectorized numpy, writes
+the port state back, and resumes every rank at its computed exit time.
 
 Exactness contract
 ------------------
@@ -26,7 +25,7 @@ cost model, evaluated in closed form:
   float64 is a strict left fold), so :func:`_seq_chain` evaluates it in
   one vectorized pass per stretch without changing a single rounding step.
 
-The provable-exactness domain splits on port ownership:
+The provable-exactness domain splits on plan kind and port ownership:
 
 * *Stepped* plans (lockstep exchange rounds) on **private-port** platforms
   (per-rank NICs, a single node, or one rank per node) are bit-exact at
@@ -34,19 +33,31 @@ The provable-exactness domain splits on port ownership:
   in its own program order, and the engine's expected- and unexpected-path
   completion formulas coincide, so event interleaving cannot change the
   arithmetic.
-* On platforms with ranks *sharing* node ports, and for the *linear* plan
-  everywhere, exactness additionally needs **aligned entries**: with
-  skewed entries an early rank's phase overlaps a late rank's previous
-  phase in simulated time, and the engine interleaves their claims on the
-  shared port while the gate serializes phases (linear plans further
-  reorder unexpected-path extraction claims).  Stepped plans on such
-  platforms moreover engage only when each node port has a **single
+* The *linear* plan is bit-exact at **any** entry skew on every platform:
+  a rank's whole phase runs in its entry event, so the exact engine's
+  event order follows from the entries and arrivals alone, and the replay
+  claims extraction ports in that order (a message that arrives before its
+  receiver enters is claimed during the receiver's entry event, in post
+  order; every other one at its delivery; see :func:`_extraction_order`).
+* Stepped plans on platforms with ranks *sharing* node ports additionally
+  need **aligned entries**: with skewed entries an early rank's phase
+  overlaps a late rank's previous phase in simulated time, and the engine
+  interleaves their claims on the shared port while the gate serializes
+  phases.  They moreover engage only when each node port has a **single
   claiming rank** for the whole phase (ring schedules qualify; strided
   exchanges like pairwise or recursive doubling do not — several
   co-located ranks would contend for the node NIC, which the vectorized
   replay does not serialize).  Hybrid mode falls back or refuses these
   cases; forced ``flow`` mode runs them anyway as analytic approximations
   (see ``docs/performance.md``).
+
+Every replay assumes the phase's own messages are the only traffic, so a
+hybrid gate checks at resolution that it was **quiet** and raises
+:class:`SimulationError` otherwise: no event was scheduled from the first
+arrival on, only the other ranks' entries were pending at the first
+arrival, and no rank holds a posted receive or an unmatched message.
+Linear gates also require every port to be free by the earliest entry
+(see :meth:`FlowGate._unquiet`).
 
 Dispatch rules (``hybrid`` mode)
 --------------------------------
@@ -58,12 +69,16 @@ otherwise it falls back to exact per-message simulation and bumps the
   returns a plan for these parameters (e.g. recursive doubling only for
   power-of-two communicators, ring allreduce only for ``count >= p``,
   linear alltoall only below the eager threshold);
-* for linear plans, and for stepped plans on shared-port platforms: the
-  declared arrival spread of the run's pattern is within
-  ``FlowConfig.tolerance`` (default 0.0 — perfectly aligned phases), and
-  the gate re-checks the *actual* entry spread at resolution, raising
-  :class:`SimulationError` if the declaration was violated; stepped plans
-  on private-port platforms are skew-exact and skip both checks;
+* the run declares its arrival spread (``FlowConfig.declared_spread`` is
+  not ``None``): an unknown spread lets entries drift into the gate
+  window (synced-clock harmonize targets), which the quiet check would
+  refuse;
+* for stepped plans on shared-port platforms: the declared spread is
+  within ``FlowConfig.tolerance`` (default 0.0 — perfectly aligned
+  phases), and the gate re-checks the *actual* entry spread at
+  resolution, raising :class:`SimulationError` if the declaration was
+  violated; stepped plans on private-port platforms are skew-exact and
+  skip both checks;
 * the platform is link-class uniform, unless the plan sets ``hetero_ok``
   (ring-structured and linear schedules keep single-owner port access on
   hetero platforms; pairwise/XOR schedules do not);
@@ -93,13 +108,16 @@ class FlowConfig:
     Parameters
     ----------
     mode:
-        ``"exact"`` — never; ``"hybrid"`` — where a plan exists *and* the
-        declared arrival spread is within ``tolerance``; ``"flow"`` — on
-        every planned phase regardless of skew (analytic approximation).
+        ``"exact"`` — never; ``"hybrid"`` — where a plan exists and the
+        replay is provably bit-identical (see the module docstring);
+        ``"flow"`` — on every planned phase regardless of skew (analytic
+        approximation).
     tolerance:
         Maximum declared arrival spread (seconds) the hybrid dispatcher
-        accepts.  0.0 (the default) admits only perfectly aligned phases,
-        the regime where the replay is provably bit-identical.
+        accepts for stepped plans on shared node ports.  0.0 (the default)
+        admits only perfectly aligned phases, the regime where their
+        replay is provably bit-identical.  Linear plans and stepped plans
+        on private ports ignore it.
     declared_spread:
         The arrival spread the harness *promises* for collective entries
         (``max(skew) - min(skew)`` of the pattern under a perfect clock).
@@ -495,6 +513,41 @@ def _replay_stepped(
     return now
 
 
+def _extraction_order(arrival: np.ndarray, entries: np.ndarray,
+                      dst: np.ndarray, recv_idx: np.ndarray,
+                      rank_of_pos: np.ndarray) -> np.ndarray:
+    """The exact engine's event order of a linear phase's extraction claims.
+
+    ``arrival``, ``dst`` and ``recv_idx`` are ``(p, m)`` in claim layout
+    (sender gate position major, send index minor); ``entries`` holds each
+    rank's entry clock.  A message that arrives before its receiver's entry
+    is *unexpected*: it waits in the queue and is claimed during the
+    receiver's entry event, at the receive's post (ascending source).
+    Every other message is claimed at its delivery event.  Claims therefore
+    run at the receiver's entry or at the arrival.  At equal times entry
+    events run first, since the gate's quiet check guarantees that they
+    were all scheduled before any delivery: entries in gate-arrival order
+    then post index, deliveries in (arrival, sender position, send index)
+    order, which is the row-major index.
+    """
+    flat = arrival.ravel()
+    # All times are positive finite, so the IEEE-754 bit pattern viewed as
+    # uint64 sorts like the float, and integer keys take numpy's radix path.
+    # The bound skips the O(p^2) gather below when entries are aligned.
+    if flat.min() >= entries.max():
+        return np.argsort(flat.view(np.uint64), kind="stable")
+    entry_of_dst = entries[dst]
+    unexpected = arrival < entry_of_dst
+    p, m = arrival.shape
+    pos_of = np.empty(p, dtype=np.int64)
+    pos_of[rank_of_pos] = np.arange(p)
+    when = np.where(unexpected, entry_of_dst, arrival)
+    # Tie keys: entry claims below p*m, deliveries from p*m up.
+    tie = np.where(unexpected, pos_of[dst] * m + recv_idx,
+                   np.arange(p * m, 2 * p * m).reshape(p, m))
+    return np.lexsort((tie.ravel(), when.ravel()))
+
+
 def _replay_linear(
     plan: FlowPlan,
     nt: _NetTables,
@@ -506,12 +559,12 @@ def _replay_linear(
     """Replay the basic-linear alltoall phase; returns per-rank exit times.
 
     Every rank posts ``p-1`` receives then ``p-1`` eager sends and waits
-    once, so *all* posts of a rank execute in its single arrival resume —
-    port claims interleave across ranks in **gate-arrival order** (``order``),
-    send-index minor.  Receiver extraction ports are claimed at delivery
-    events, globally ordered by ``(arrival, schedule seq)``; a stable sort
-    by arrival reproduces that order exactly.  :func:`_port_chains` then
-    evaluates every port's claim sequence on each side.
+    once, so *all* posts of a rank execute in its single entry event —
+    injection claims interleave across ranks in **gate-arrival order**
+    (``order``), send-index minor.  Extraction claims follow the exact
+    engine's event order at any entry skew (:func:`_extraction_order`).
+    :func:`_port_chains` then evaluates every port's claim sequence on each
+    side.
     """
     p = nt.p
     m = p - 1
@@ -563,18 +616,16 @@ def _replay_linear(
         accum.add(TX, tx_ports, cls, tx_time, plan.msg_bytes,
                   np.maximum(tx_end - tx_time - ready, 0.0))
 
-    # --- deliveries: extraction-port claims in (arrival, seq) order ---
+    # --- extraction-port claims, in the exact engine's event order ---
     arrival = tx_end + lat
     recv_idx = (src_col - (src_col > dst)).astype(np.int32)
     a_val = np.maximum(recv_post_rank[dst, recv_idx], arrival)
     if nt.rx_ser:
         rx_ports = nt.ports(dst, cls)
-        # All times are positive finite, so the IEEE-754 bit pattern viewed
-        # as uint64 sorts identically to the float — and integer keys take
-        # numpy's radix path, several times faster at p^2 scale.
-        by_arrival = np.argsort(arrival.ravel().view(np.uint64), kind="stable")
+        by_event = _extraction_order(arrival, entries, dst, recv_idx,
+                                     rank_of_pos)
         delivered = _port_chains(state.rx, rx_ports.ravel(), a_val.ravel(),
-                                 tx_time.ravel(), by_arrival).reshape(p, m)
+                                 tx_time.ravel(), by_event).reshape(p, m)
         if accum is not None:
             accum.add(RX, rx_ports, cls, tx_time, plan.msg_bytes,
                       np.maximum(delivered - tx_time - a_val, 0.0))
@@ -607,11 +658,15 @@ class FlowGate:
     triggers :meth:`resolve`: snapshot port state, replay the phase, write
     the state back, and schedule every rank's resume (rank-ascending) at
     its computed exit time with its result as the resume value.
+
+    In hybrid mode :meth:`resolve` first checks that the gate was *quiet*
+    (:meth:`_unquiet`): the replay sees only the phase's own traffic, so
+    nothing else may be in flight, queued or posted across it.
     """
 
     __slots__ = (
         "runtime", "plan", "signature", "result_fn", "fibers", "data",
-        "order", "arrived",
+        "order", "arrived", "quiet",
     )
 
     def __init__(self, runtime: "FlowRuntime", plan: FlowPlan,
@@ -625,6 +680,8 @@ class FlowGate:
         self.data: list = [None] * p
         self.order: list[int] = []
         self.arrived = 0
+        # Engine (_seq, _outstanding) at the first arrival.
+        self.quiet: tuple[int, int] | None = None
 
     def arrive(self, fiber) -> None:
         rank = fiber.rank
@@ -633,6 +690,9 @@ class FlowGate:
                 f"rank {rank} re-entered the flow gate for "
                 f"{self.plan.collective}/{self.plan.algorithm}"
             )
+        if self.quiet is None:
+            engine = self.runtime.engine
+            self.quiet = (engine._seq, engine._outstanding)
         self.fibers[rank] = fiber
         self.order.append(rank)
         self.arrived += 1
@@ -648,11 +708,19 @@ class FlowGate:
         p = engine.num_procs
         nt = runtime.net_tables
         entries = np.array([f.now for f in self.fibers])
-        if cfg.mode == "hybrid" and (
-            plan.kind == "linear" or not nt.private_ports
-        ):
+        state = _PortState(engine)
+        if cfg.mode == "hybrid":
+            problem = self._unquiet(entries, state)
+            if problem is not None:
+                raise SimulationError(
+                    f"flow gate for {plan.collective}/{plan.algorithm}: "
+                    f"{problem}, so the flow replay would not match the exact "
+                    "engine; rerun with --engine-mode exact"
+                )
             spread = float(entries.max() - entries.min())
-            if spread > cfg.tolerance:
+            if plan.kind == "stepped" and not nt.private_ports and (
+                spread > cfg.tolerance
+            ):
                 raise SimulationError(
                     f"flow gate for {plan.collective}/{plan.algorithm}: actual "
                     f"entry spread {spread:.3g}s exceeds the hybrid tolerance "
@@ -661,7 +729,6 @@ class FlowGate:
                     "harmonized barrier?); rerun with --engine-mode exact, or "
                     "--engine-mode flow to accept an analytic approximation"
                 )
-        state = _PortState(engine)
         accum = _LinkAccum(nt) if engine._obs_link is not None else None
         if plan.kind == "linear":
             order = np.array(self.order, dtype=np.int64)
@@ -692,6 +759,37 @@ class FlowGate:
             octx.metrics.counter("flow.batches", labels).inc()
             octx.metrics.counter("flow.messages_collapsed",
                                  labels).inc(plan.est_messages)
+
+    def _unquiet(self, entries: np.ndarray, state: _PortState) -> str | None:
+        """The first failed quiet-gate condition, or ``None``.
+
+        The replay prices only the phase's own messages, so no other event
+        may run or be pending from the first arrival on, and no rank may
+        hold a posted receive or an unmatched message across the gate.  The
+        linear replay also orders extraction claims as the exact engine
+        would from the entry events alone, so every port must be free by
+        the earliest entry: earlier traffic, including a previous batch's
+        deliveries, has finished.
+        """
+        engine = self.runtime.engine
+        seq, outstanding = self.quiet
+        if engine._seq != seq:
+            return "an event was scheduled while ranks waited at the gate"
+        if outstanding != len(self.fibers) - 1 or engine._outstanding:
+            return ("events besides the other ranks' entries were pending "
+                    "at the first arrival")
+        for proc in engine.procs:
+            if proc.posted:
+                return f"rank {proc.rank} holds a posted receive"
+            if proc.unexpected:
+                return f"rank {proc.rank} holds an unmatched message"
+        if self.plan.kind == "linear":
+            first = float(entries.min())
+            busy = float(max(state.tx.max(), state.rx.max()))
+            if busy > first:
+                return (f"a port is busy until {busy:.9g}s, after the "
+                        f"earliest entry at {first:.9g}s")
+        return None
 
 
 class FlowRuntime:
@@ -756,18 +854,21 @@ class FlowRuntime:
         reason = None
         if not plan.hetero_ok and not nt.uniform:
             reason = "hetero"
-        elif cfg.mode == "hybrid" and (
-            plan.kind == "linear" or not nt.private_ports
-        ):
-            # Stepped plans on private-port platforms are order-insensitive
-            # (single-owner ports; skew folds into the recurrences exactly)
-            # and engage at any declared spread.  Linear plans and shared
-            # node ports need aligned entries to stay bit-exact.
+        elif cfg.mode == "hybrid":
+            # An unknown spread lets entries drift into the gate window
+            # (synced-clock harmonize targets), which the gate's quiet check
+            # refuses.  At a known spread, linear plans replay the exact
+            # engine's event order and stepped plans on private-port
+            # platforms are order-insensitive (single-owner ports; skew
+            # folds into the recurrences exactly); stepped plans on shared
+            # node ports need aligned entries.
             if cfg.declared_spread is None:
                 reason = "unknown_spread"
+            elif plan.kind == "linear" or nt.private_ports:
+                pass
             elif cfg.declared_spread > cfg.tolerance:
                 reason = "skew"
-            elif plan.kind == "stepped" and not self._single_port_owner(plan, args):
+            elif not self._single_port_owner(plan, args):
                 # The vectorized stepped replay chains each shared node port
                 # as one sequence; two ranks claiming the same port would
                 # need event-order serialization it does not model.

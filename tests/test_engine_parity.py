@@ -15,10 +15,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.bench.micro import MicroBenchmark
 from repro.collectives import CollArgs, make_input, run_collective
 from repro.patterns.generator import generate_pattern
-from repro.sim.mpi import run_processes
+from repro.sim.mpi import build_engine, run_processes
 from repro.sim.platform import Platform
 
 
@@ -185,8 +186,9 @@ def _expect_engage(pname, coll, algo, skewed):
     private = pname != "hetero16x4"
     stepped = algo != "basic_linear"
     if skewed:
-        # Only stepped plans on private-port platforms survive entry skew.
-        return private and stepped
+        # The linear replay follows the exact engine's event order at any
+        # skew; stepped plans survive skew only on private-port platforms.
+        return private or not stepped
     # Aligned: everything engages except shared-contention stepped schedules
     # (strided exchanges on multi-core shared-NIC nodes).
     if not private and stepped:
@@ -243,6 +245,63 @@ def test_hybrid_parity_hydra_network(pname, coll, algo, shape):
     )
 
 
+# Shapes with whole blocks of ranks late (one rank, half of them, every
+# other one): most messages to a late rank arrive before it enters, so the
+# linear replay claims them from entry events instead of deliveries.
+UNEXPECTED_SHAPES = ["first_delayed", "last_delayed", "step", "zigzag"]
+
+
+@pytest.mark.parametrize("pname", sorted(FLOW_PLATFORMS))
+@pytest.mark.parametrize("net", ["default", "hydra"])
+@pytest.mark.parametrize("shape", UNEXPECTED_SHAPES)
+def test_hybrid_parity_skewed_linear(pname, net, shape):
+    nodes, cores = FLOW_PLATFORMS[pname]
+    plat = Platform(pname, nodes=nodes, cores_per_node=cores)
+    skews = generate_pattern(shape, plat.num_ranks, max_skew=200e-6,
+                             seed=13).skews
+    _assert_hybrid_bitwise(
+        plat, [("alltoall", "basic_linear")], skews,
+        float(skews.max() - skews.min()), True,
+        params=HYDRA_NET if net == "hydra" else None,
+    )
+
+
+def test_hybrid_parity_entry_tied_with_arrival(monkeypatch):
+    # A late receiver enters exactly (bit for bit) when one of its messages
+    # arrives.  Its entry event was scheduled before any delivery, so it
+    # runs first: the tied message is claimed at its delivery, after the
+    # entry's queued claims, not among them.  Hydra's fast links leave the
+    # extraction port idle between claims, so the claim order shows in the
+    # receiver's exit time.
+    from repro.sim.engine import Engine
+
+    plat = Platform("tie", nodes=16, cores_per_node=4)
+    p = plat.num_ranks
+    late = 37
+    skews = generate_pattern("random", p, max_skew=50e-6, seed=21).skews.copy()
+    skews[late] = 200e-6
+    arrivals = []
+    deliver = Engine._deliver
+
+    def spy(engine, msg):
+        if msg.peer == late:
+            arrivals.append(msg.arrival)
+        deliver(engine, msg)
+
+    monkeypatch.setattr(Engine, "_deliver", spy)
+    seq = [("alltoall", "basic_linear")]
+    run_processes(plat, _flow_prog(seq, skews), params=HYDRA_NET)
+    # Arrivals after every other entry keep the late rank last, so moving
+    # its entry leaves every arrival to it unchanged.
+    candidates = sorted(a for a in arrivals if a > np.delete(skews, late).max())
+    tied = candidates[len(candidates) // 2]
+    skews[late] = tied
+    arrivals.clear()
+    _assert_hybrid_bitwise(plat, seq, skews, float(skews.max() - skews.min()),
+                           True, params=HYDRA_NET)
+    assert tied in arrivals      # the exact run really delivers at the entry
+
+
 @pytest.mark.parametrize("coll,algo", [("alltoall", "basic_linear"),
                                        ("allgather", "ring")])
 def test_hybrid_parity_discoverer_group_tier(coll, algo):
@@ -280,36 +339,54 @@ def test_hybrid_parity_256_ranks():
         _assert_hybrid_bitwise(plat, [(coll, algo)], None, 0.0, expect)
 
 
-def test_hybrid_fallback_on_skewed_linear():
-    # The documented fallback trigger: a skewed arrival pattern forces the
-    # linear plan onto the exact path — counters record the decision and no
-    # batch is formed.
-    from repro.sim.mpi import build_engine
-
-    plat = Platform("fb", nodes=16, cores_per_node=4)
-    p = plat.num_ranks
-    skews = generate_pattern("descending", p, max_skew=150e-6, seed=3).skews
-    declared = float(skews.max() - skews.min())
-    flow = FlowConfig(mode="hybrid", declared_spread=declared)
+def _run_counted(plat, seq, skews, flow):
     engine, contexts = build_engine(plat, flow=flow)
-    prog = _flow_prog([("alltoall", "basic_linear")], skews)
+    prog = _flow_prog(seq, skews)
     for rank, ctx in enumerate(contexts):
         engine.set_process(rank, prog(ctx))
     engine.run()
-    rt = engine.flow_runtime
+    return engine.flow_runtime
+
+
+def test_hybrid_fallback_on_skewed_linear():
+    # The remaining fallback trigger for linear plans: an unknown spread
+    # (synced clocks declare none) sends the call to the exact path —
+    # counters record the decision and no batch is formed.
+    plat = Platform("fb", nodes=16, cores_per_node=4)
+    p = plat.num_ranks
+    skews = generate_pattern("descending", p, max_skew=150e-6, seed=3).skews
+    seq = [("alltoall", "basic_linear")]
+    rt = _run_counted(plat, seq, skews,
+                      FlowConfig(mode="hybrid", declared_spread=None))
     assert rt.batches == 0
     assert rt.fallback_calls == 1
     assert rt.fallback_messages == p * (p - 1)
     # And the fallback run is still bit-identical to exact:
-    _assert_hybrid_bitwise(plat, [("alltoall", "basic_linear")], skews,
-                           declared, False)
+    _assert_hybrid_bitwise(plat, seq, skews, None, False)
+
+
+def test_hybrid_engages_on_skewed_linear():
+    # A known skewed spread keeps the linear plan on the flow path, and the
+    # replay stays bit-identical to exact.
+    plat = Platform("fb", nodes=16, cores_per_node=4)
+    p = plat.num_ranks
+    skews = generate_pattern("descending", p, max_skew=150e-6, seed=3).skews
+    declared = float(skews.max() - skews.min())
+    seq = [("alltoall", "basic_linear")]
+    rt = _run_counted(plat, seq, skews,
+                      FlowConfig(mode="hybrid", declared_spread=declared))
+    assert rt.batches == 1
+    assert rt.fallback_calls == 0
+    assert rt.messages_collapsed == p * (p - 1)
+    _assert_hybrid_bitwise(plat, seq, skews, declared, True)
 
 
 @pytest.mark.parametrize("shape", [None, "ascending", "random", "bell"])
 def test_microbenchmark_hybrid_parity(shape):
     # The harness-level contract: MicroBenchmark(engine_mode="hybrid")
-    # reproduces exact-mode results bit-for-bit in perfect-clock mode, where
-    # harmonized entries make the declared spread provably hold.
+    # reproduces exact-mode results bit-for-bit in perfect-clock mode, and
+    # every repetition engages: harmonize leaves each gate quiet, so the
+    # linear replay runs at any declared spread.
     pattern = (
         generate_pattern(shape, 64, max_skew=200e-6, seed=9) if shape else None
     )
@@ -319,10 +396,34 @@ def test_microbenchmark_hybrid_parity(shape):
             platform=Platform("mb", nodes=16, cores_per_node=4),
             nrep=3, seed=11, engine_mode=mode,
         )
-        runs[mode] = bench.run("alltoall", "basic_linear",
-                               msg_bytes=2048.0, pattern=pattern)
+        with obs.session(record_spans=False) as octx:
+            runs[mode] = bench.run("alltoall", "basic_linear",
+                                   msg_bytes=2048.0, pattern=pattern)
+        batches = octx.metrics.snapshot().get(
+            'flow.batches{algorithm="basic_linear"}', {"value": 0})["value"]
+        # Every repetition collapses into one flow batch in hybrid mode.
+        assert batches == (3 if mode == "hybrid" else 0)
     assert np.array_equal(runs["exact"].last_delays, runs["hybrid"].last_delays)
     assert np.array_equal(runs["exact"].total_delays, runs["hybrid"].total_delays)
     assert np.array_equal(
         runs["exact"].arrival_spreads, runs["hybrid"].arrival_spreads
     )
+
+
+def test_microbenchmark_synced_hybrid_falls_back():
+    # Synced clocks declare no spread: drifting harmonize targets schedule
+    # entries inside the gate window, which the quiet check would refuse,
+    # so hybrid keeps even skew-exact stepped plans on the exact path.
+    runs = {}
+    for mode in ("exact", "hybrid"):
+        bench = MicroBenchmark(
+            platform=Platform("mbs", nodes=64, cores_per_node=1),
+            nrep=2, seed=3, clock_mode="synced", engine_mode=mode,
+        )
+        with obs.session(record_spans=False) as octx:
+            runs[mode] = bench.run("alltoall", "pairwise", msg_bytes=1024.0)
+        snap = octx.metrics.snapshot()
+    assert snap['flow.fallback_calls{reason="unknown_spread"}']["value"] == 2
+    assert 'flow.batches{algorithm="pairwise"}' not in snap
+    assert np.array_equal(runs["exact"].last_delays, runs["hybrid"].last_delays)
+    assert np.array_equal(runs["exact"].total_delays, runs["hybrid"].total_delays)

@@ -306,8 +306,9 @@ def test_unknown_spread_falls_back():
 
 
 def test_declared_skew_beyond_tolerance_falls_back():
+    # Stepped plans on shared node ports need aligned entries.
     skews = np.linspace(0, 100e-6, HETERO.num_ranks)
-    prog = _single_collective_prog("alltoall", "basic_linear", ARGS, skews=skews)
+    prog = _single_collective_prog("alltoall", "pairwise", ARGS, skews=skews)
     engine = _run_flow(
         HETERO, prog, FlowConfig(mode="hybrid", declared_spread=100e-6)
     )
@@ -356,9 +357,25 @@ def test_gate_signature_mismatch_raises():
 
 
 def test_stale_declaration_raises_at_resolve():
-    # Two back-to-back collectives: ranks exit the first at different times,
-    # so the second gate sees a real spread the declaration (0.0) promised
-    # away.  The gate must refuse rather than silently mis-replay.
+    # Two back-to-back ring allgathers on shared node ports: ranks exit the
+    # first at different times, so the second gate sees a real spread the
+    # declaration (0.0) promised away.  The gate must refuse rather than
+    # silently mis-replay.
+    def prog(ctx):
+        data = np.arange(8, dtype=np.float64) + ctx.rank
+        args1 = CollArgs(count=8, msg_bytes=2048.0, tag=1)
+        args2 = CollArgs(count=8, msg_bytes=2048.0, tag=2)
+        yield from run_collective(ctx, "allgather", "ring", args1, data)
+        return (yield from run_collective(ctx, "allgather", "ring", args2, data))
+
+    with pytest.raises(SimulationError, match="actual entry spread"):
+        run_processes(HETERO, prog,
+                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+
+
+def test_back_to_back_linear_raises_busy_ports():
+    # The second linear gate opens while the first batch's traffic still
+    # holds ports past the earliest entry: the quiet check refuses it.
     def prog(ctx):
         data = _alltoall_data(ctx.size, 8)
         args1 = CollArgs(count=8, msg_bytes=2048.0, tag=1)
@@ -366,9 +383,84 @@ def test_stale_declaration_raises_at_resolve():
         yield from run_collective(ctx, "alltoall", "basic_linear", args1, data)
         return (yield from run_collective(ctx, "alltoall", "basic_linear", args2, data))
 
-    with pytest.raises(SimulationError, match="actual entry spread"):
+    with pytest.raises(SimulationError, match="a port is busy until"):
         run_processes(HETERO, prog,
                       flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+
+
+#: Common entry time of the gate-crossing programs below, and the post time
+#: that means "after the collective".
+ENTRY = 50e-6
+AFTER = float("inf")
+
+
+def _crossing_prog(collective, algorithm, recv_at, send_at):
+    """Every rank enters the collective at ENTRY.  Rank 4 sends 2 KiB to
+    rank 0, which posts the matching receive; each side posts at its
+    ``*_at`` time (before ENTRY, or AFTER the collective) and waits on its
+    request after the collective."""
+    args = CollArgs(count=8, msg_bytes=2048.0, tag=100)
+
+    def prog(ctx):
+        when = {0: recv_at, 4: send_at}.get(ctx.rank)
+
+        def post():
+            if ctx.rank == 0:
+                return ctx.irecv(4, tag=7)
+            return ctx.isend(0, 2048, tag=7)
+
+        req = None
+        if when is not None and when < ENTRY:
+            yield ctx.wait_until(when)
+            req = post()
+        yield ctx.wait_until(ENTRY)
+        if collective == "alltoall":
+            data = _alltoall_data(ctx.size, args.count) + ctx.rank
+        else:
+            data = np.arange(args.count, dtype=np.float64) + ctx.rank
+        res = yield from run_collective(ctx, collective, algorithm, args, data)
+        if when == AFTER:
+            req = post()
+        if req is not None:
+            yield ctx.waitall(req)
+        return res
+
+    return prog
+
+
+@pytest.mark.parametrize("plat,collective,algorithm", [
+    (HETERO, "alltoall", "basic_linear"),
+    (UNIFORM, "alltoall", "pairwise"),
+    (UNIFORM, "allreduce", "recursive_doubling"),
+    (HETERO, "allgather", "ring"),
+], ids=["linear16x4", "pairwise64x1", "recdbl64x1", "ring16x4"])
+def test_traffic_across_hybrid_gate_raises(plat, collective, algorithm):
+    # Rank 0 posts a receive before the collective and waits on it after,
+    # while rank 4's message (sent 1 us before the entry; the wire takes
+    # longer) is in flight across the gate.  The replay cannot see that
+    # message, so the exact engine's clocks would differ: every hybrid gate
+    # refuses instead of mis-replaying.
+    prog = _crossing_prog(collective, algorithm, recv_at=0.0,
+                          send_at=ENTRY - 1e-6)
+    with pytest.raises(SimulationError, match="--engine-mode exact"):
+        run_processes(plat, prog,
+                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+
+
+@pytest.mark.parametrize("recv_at,send_at,condition", [
+    (0.0, AFTER, "rank 0 holds a posted receive"),
+    (AFTER, 0.0, "rank 0 holds an unmatched message"),
+], ids=["posted_recv", "unmatched_msg"])
+def test_quiet_gate_conditions(recv_at, send_at, condition):
+    # A receive or a message that straddles the gate leaves matching state
+    # the replay does not model; the gate refuses it even when, as here,
+    # the message is not in flight during the batch.
+    prog = _crossing_prog("alltoall", "pairwise", recv_at, send_at)
+    with pytest.raises(SimulationError, match=condition):
+        run_processes(UNIFORM, prog,
+                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+    # The same program is well formed: the exact engine runs it.
+    assert run_processes(UNIFORM, prog).final_time > ENTRY
 
 
 def test_forced_flow_mode_accepts_skew():

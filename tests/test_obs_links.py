@@ -284,8 +284,9 @@ class TestFallbackReasonLabels:
         assert snap[mkey]["value"] == 64 * 63
 
     def test_spread_reason(self):
+        # Stepped plans on shared node ports need aligned entries.
         snap = self._labeled(
-            "basic_linear",
+            "pairwise",
             FlowConfig(mode="hybrid", declared_spread=100e-6))
         key = obs.metric_key("flow.fallback_calls", {"reason": "spread"})
         assert snap[key]["value"] == 1
