@@ -21,8 +21,9 @@ Exposed on the CLI as ``repro-mpi tune`` (``--jobs``, ``--cache-dir``).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from repro.errors import ConfigurationError
 from repro.bench.executor import CellExecutor, CellSpec, ExecutorStats
 from repro.bench.micro import MicroBenchmark
 from repro.bench.results import SweepResult
-from repro.collectives.base import list_algorithms
+from repro.collectives.base import get_algorithm, list_algorithms
 from repro.obs.context import current as _obs_current
 from repro.patterns.generator import generate_pattern
 from repro.patterns.shapes import NO_DELAY, list_shapes
@@ -248,7 +249,13 @@ class TuningCampaign:
         return result
 
     def save(self, result: CampaignResult, outdir: str | Path) -> dict[str, Path]:
-        """Persist table, rules file, and raw sweeps; returns written paths."""
+        """Persist table, raw sweeps, and rules file; returns written paths.
+
+        The table and sweeps keep every cell's true winner.  Open MPI cannot
+        be told to run an algorithm without a ``coll_tuned`` id (e.g.
+        ``reduce/knomial``), so for such a cell the rules file names the
+        strategy's pick among the sweep's algorithms that have one.
+        """
         from repro.selection.ompi_rules import write_ompi_rules_file
 
         outdir = Path(outdir)
@@ -259,13 +266,33 @@ class TuningCampaign:
             "sweeps": outdir / "sweeps.json",
         }
         result.table.save_json(paths["table"])
-        write_ompi_rules_file(paths["rules"], result.table)
         payload = {
             f"{coll}:{int(size)}": sweep.to_dict()
             for (coll, size), sweep in result.sweeps.items()
         }
         paths["sweeps"].write_text(json.dumps(payload, indent=2))
+        write_ompi_rules_file(paths["rules"], self._ompi_table(result))
         return paths
+
+    def _ompi_table(self, result: CampaignResult) -> "SelectionTable":
+        """Copy of ``result.table`` naming only algorithms with an Open MPI id.
+
+        Only cells whose winner has no id are re-selected, over their sweep
+        restricted to algorithms that have one; re-selecting every cell
+        would let row normalization move winners that export as they are.
+        A cell with no exportable algorithm keeps its winner, so the rules
+        writer reports it.
+        """
+        table = copy.deepcopy(result.table)
+        for (coll, size), sweep in result.sweeps.items():
+            if get_algorithm(coll, result.winners[(coll, size)]).ompi_id is not None:
+                continue
+            cells = {key: cell for key, cell in sweep.cells.items()
+                     if get_algorithm(coll, key[1]).ompi_id is not None}
+            if cells:
+                table.add_rule(coll, sweep.num_ranks, size,
+                               self.strategy.select(replace(sweep, cells=cells)))
+        return table
 
 
 __all__ = ["TuningCampaign", "CampaignResult", "DEFAULT_SIZES"]

@@ -33,7 +33,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -578,6 +577,8 @@ class CellExecutor:
                 if progress is not None:
                     progress(spec)
             if len(pending) > 1 and self.jobs > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
                 workers = min(self.jobs, len(pending))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     for i, (result, seconds, telemetry) in zip(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ConfigurationError
 
@@ -81,6 +80,8 @@ def median_ci(values: np.ndarray, confidence: float = 0.95) -> tuple[float, floa
         raise ConfigurationError("confidence must be in (0, 1)")
     if n < 3:
         return float(values[0]), float(values[-1])
+    from scipy import stats as sps
+
     alpha = 1.0 - confidence
     lower_stat = int(sps.binom.ppf(alpha / 2, n, 0.5))        # l, 1-based
     upper_stat = int(sps.binom.ppf(1 - alpha / 2, n, 0.5)) + 1  # u, 1-based

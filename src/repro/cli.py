@@ -588,7 +588,7 @@ def _executor_summary(octx) -> str | None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.obs import MetricsHTTPServer, WindowedSnapshotter
+    from repro.obs.expose import MetricsHTTPServer, WindowedSnapshotter
     from repro.obs.runid import make_run_id
     from repro.service import (
         JsonLogger,

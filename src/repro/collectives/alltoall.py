@@ -121,33 +121,30 @@ def alltoall_linear_sync(ctx, args, data, window: int = 4):
     recv_of: dict[int, object] = {}
 
     outstanding: list = []  # request objects, send and recv interleaved
+    in_flight = [0, 0]  # outstanding requests by kind: [sends, receives]
     next_send = next_recv = 0
 
     def fill():
         nonlocal next_send, next_recv
-        while next_recv < len(recv_peers) and _count_recv() < window:
+        while next_recv < len(recv_peers) and in_flight[1] < window:
             src = recv_peers[next_recv]
             rreq = ctx.irecv(src, args.tag)
             recv_of[src] = rreq
             outstanding.append(rreq)
+            in_flight[1] += 1
             next_recv += 1
-        while next_send < len(send_peers) and _count_send() < window:
+        while next_send < len(send_peers) and in_flight[0] < window:
             dst = send_peers[next_send]
             outstanding.append(
                 ctx.isend(dst, args.msg_bytes, args.tag, payload=send[dst], sync=True)
             )
+            in_flight[0] += 1
             next_send += 1
-
-    def _count_recv():
-        return sum(1 for r in outstanding if r.kind == 1)
-
-    def _count_send():
-        return sum(1 for r in outstanding if r.kind == 0)
 
     fill()
     while outstanding:
         index = yield ctx.waitany(outstanding)
-        outstanding.pop(index)
+        in_flight[outstanding.pop(index).kind] -= 1
         fill()
     for src, rreq in recv_of.items():
         out[src] = rreq.payload  # type: ignore[attr-defined]

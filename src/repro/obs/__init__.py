@@ -18,7 +18,8 @@ Every layer of the stack plugs into one :class:`ObsContext` per run:
 * **live exposition** — Prometheus text rendering of any registry
   (labels included), interval windows with rolling rates, and a plain
   HTTP scrape endpoint for long-lived services
-  (:mod:`repro.obs.expose`);
+  (:mod:`repro.obs.expose`; import it from there, so that importing this
+  package, which every simulation does, never loads the HTTP stack);
 * **cross-process capture** — per-cell telemetry payloads that pool
   workers and the result cache ship back to the parent session, merged
   deterministically so ``--jobs N`` traces equal serial ones
@@ -63,15 +64,6 @@ from repro.obs.collect import (
     CellTelemetry,
     capture_telemetry,
     merge_telemetry,
-)
-from repro.obs.expose import (
-    MetricsHTTPServer,
-    MetricsWindow,
-    PROMETHEUS_CONTENT_TYPE,
-    WindowedSnapshotter,
-    parse_prometheus,
-    render_prometheus,
-    sanitize_metric_name,
 )
 from repro.obs.export import (
     dropped_span_warning,
@@ -137,14 +129,6 @@ __all__ = [
     "NULL_METRICS",
     "metric_key",
     "parse_metric_key",
-    # exposition
-    "PROMETHEUS_CONTENT_TYPE",
-    "render_prometheus",
-    "parse_prometheus",
-    "sanitize_metric_name",
-    "MetricsWindow",
-    "WindowedSnapshotter",
-    "MetricsHTTPServer",
     # spans
     "Span",
     "SpanRecorder",

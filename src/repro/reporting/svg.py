@@ -10,8 +10,8 @@ comm-volume matrices from :mod:`repro.obs.analysis`.
 
 from __future__ import annotations
 
+import html
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from repro.errors import ConfigurationError
 from repro.utils.units import format_time
@@ -26,6 +26,11 @@ _LABEL_W = 110          # left gutter for track / row labels (px)
 _ROW_H = 18             # timeline row height (px)
 _AXIS_H = 22            # bottom axis strip (px)
 _LEGEND_H = 16          # per-legend-row height (px)
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text and ``<title>`` content."""
+    return html.escape(text, quote=False)
 
 
 def _color_for(name: str, seen: dict[str, str]) -> str:
@@ -59,7 +64,7 @@ def svg_timeline(
         y = row * _ROW_H
         body.append(
             f'<text x="{_LABEL_W - 6}" y="{y + _ROW_H - 5}" '
-            f'text-anchor="end" class="lbl">{escape(str(label))}</text>'
+            f'text-anchor="end" class="lbl">{_escape(str(label))}</text>'
         )
         body.append(
             f'<line x1="{_LABEL_W}" y1="{y + _ROW_H - 0.5}" '
@@ -74,17 +79,17 @@ def svg_timeline(
             body.append(
                 f'<rect x="{x:.2f}" y="{y + 2}" width="{w:.2f}" '
                 f'height="{_ROW_H - 5}" fill="{fill}">'
-                f"<title>{escape(tip)}</title></rect>"
+                f"<title>{_escape(tip)}</title></rect>"
             )
     rows_h = len(tracks) * _ROW_H
     axis_y = rows_h + 14
     body.append(
         f'<text x="{_LABEL_W}" y="{axis_y}" class="lbl">'
-        f"{escape(format_time(0.0))}</text>"
+        f"{_escape(format_time(0.0))}</text>"
     )
     body.append(
         f'<text x="{width - 10}" y="{axis_y}" text-anchor="end" class="lbl">'
-        f"{escape(format_time(span))}</text>"
+        f"{_escape(format_time(span))}</text>"
     )
     legend_y = rows_h + _AXIS_H
     for i, (name, fill) in enumerate(colors.items()):
@@ -92,12 +97,12 @@ def svg_timeline(
         body.append(f'<rect x="{_LABEL_W}" y="{y}" width="10" height="10" '
                     f'fill="{fill}"/>')
         body.append(f'<text x="{_LABEL_W + 16}" y="{y + 9}" class="lbl">'
-                    f"{escape(name)}</text>")
+                    f"{_escape(name)}</text>")
     height = legend_y + len(colors) * _LEGEND_H + 6
     head = ""
     if title:
         head = (f'<text x="{_LABEL_W}" y="-6" class="ttl">'
-                f"{escape(title)}</text>")
+                f"{_escape(title)}</text>")
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height + (20 if title else 0)}" '
@@ -135,17 +140,17 @@ def svg_heatmap(
     left, top = 70, 34 if title else 18
     body: list[str] = []
     if title:
-        body.append(f'<text x="0" y="12" class="ttl">{escape(title)}</text>')
+        body.append(f'<text x="0" y="12" class="ttl">{_escape(title)}</text>')
     for j, lab in enumerate(col_labels):
         body.append(
             f'<text x="{left + j * cell + cell / 2:.1f}" y="{top - 4}" '
-            f'text-anchor="middle" class="lbl">{escape(str(lab))}</text>'
+            f'text-anchor="middle" class="lbl">{_escape(str(lab))}</text>'
         )
     for i, (lab, row) in enumerate(zip(row_labels, values)):
         y = top + i * cell
         body.append(
             f'<text x="{left - 6}" y="{y + cell / 2 + 4:.1f}" '
-            f'text-anchor="end" class="lbl">{escape(str(lab))}</text>'
+            f'text-anchor="end" class="lbl">{_escape(str(lab))}</text>'
         )
         for j, v in enumerate(row):
             frac = (v / vmax) if vmax > 0 else 0.0
@@ -157,7 +162,7 @@ def svg_heatmap(
                 f'<rect x="{left + j * cell}" y="{y}" width="{cell - 1}" '
                 f'height="{cell - 1}" fill="rgb({r},{g},{b})" '
                 f'stroke="#ddd" stroke-width="0.5">'
-                f"<title>{escape(f'{row_labels[i]} -> {col_labels[j]}: {v:g}')}"
+                f"<title>{_escape(f'{row_labels[i]} -> {col_labels[j]}: {v:g}')}"
                 "</title></rect>"
             )
     width = left + len(col_labels) * cell + 10

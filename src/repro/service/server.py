@@ -24,7 +24,9 @@ effective configuration.  Every failure — malformed JSON, a missing
 field, an unknown collective — produces a structured error reply
 ``{"ok": false, "error": "<ExceptionName>", "detail": "..."}`` on the same
 line; the connection stays up and the server never crashes on bad input.
-In a batch, failures degrade per item.
+In a batch, failures degrade per item.  The one exception is a request
+line longer than :data:`MAX_REQUEST_BYTES`: it gets a ``ProtocolError``
+reply naming the limit, and then the server closes the connection.
 
 :class:`SelectionServer` is a thread-per-connection
 :class:`socketserver.ThreadingTCPServer`; requests on one connection
@@ -54,6 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bumped when the wire protocol changes incompatibly.
 PROTOCOL_VERSION = 1
+
+#: Longest request line the server reads, newline included (a 64-query
+#: batch is about 6 KB).  A longer line gets one ProtocolError reply and
+#: the connection is closed, since the rest of it cannot be resynchronized.
+MAX_REQUEST_BYTES = 1 << 20
 
 #: Fields a query request may carry (plus "op").
 _QUERY_FIELDS = ("collective", "comm_size", "msg_bytes", "pattern")
@@ -210,18 +217,24 @@ class _Handler(socketserver.StreamRequestHandler):
         if logger is not None:
             logger.log("conn.open", peer=peer)
         try:
-            for line in self.rfile:
+            while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+                too_long = len(line) > MAX_REQUEST_BYTES
                 line = line.strip()
-                if not line:
+                if not line and not too_long:
                     continue
                 started = time.perf_counter()
-                try:
-                    request = json.loads(line)
-                except ValueError as exc:
+                if too_long:
                     reply = {"ok": False, "error": "ProtocolError",
-                             "detail": f"malformed JSON: {exc}"}
+                             "detail": f"request line exceeds "
+                                       f"{MAX_REQUEST_BYTES} bytes"}
                 else:
-                    reply = handle_request(self.server.service, request)
+                    try:
+                        request = json.loads(line)
+                    except ValueError as exc:
+                        reply = {"ok": False, "error": "ProtocolError",
+                                 "detail": f"malformed JSON: {exc}"}
+                    else:
+                        reply = handle_request(self.server.service, request)
                 latency = time.perf_counter() - started
                 served += 1
                 if logger is not None:
@@ -240,6 +253,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     self.wfile.write(encode_reply(reply))
                     self.wfile.flush()
                 except (BrokenPipeError, ConnectionResetError):
+                    return
+                if too_long:
                     return
         finally:
             if logger is not None:
@@ -347,6 +362,7 @@ def install_sigusr1_dump(service: "SelectionService",
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_REQUEST_BYTES",
     "METRICS_QUANTILES",
     "SelectionServer",
     "JsonLogger",

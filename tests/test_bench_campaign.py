@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.bench import MicroBenchmark, TuningCampaign
+from repro.collectives.base import get_algorithm
 from repro.selection import NoDelaySelector, SelectionTable
 from repro.sim.platform import get_machine
 
@@ -60,6 +61,29 @@ class TestTuningCampaign:
         assert "alltoall:64" in sweeps and "alltoall:32768" in sweeps
         table = SelectionTable.load_json(paths["table"])
         assert table.lookup("alltoall", 16, 64) == result.winners[("alltoall", 64.0)]
+
+    def test_save_exports_an_ompi_algorithm_when_the_winner_has_no_id(
+            self, bench, tmp_path):
+        # knomial wins this cell but has no coll_tuned id.
+        campaign = TuningCampaign(bench=bench, collectives=("reduce",),
+                                  msg_sizes=(8,))
+        result = campaign.run()
+        assert result.winners == {("reduce", 8.0): "knomial"}
+        paths = campaign.save(result, tmp_path / "out")
+        assert all(path.exists() for path in paths.values())
+        assert "reduce:8" in json.loads(paths["sweeps"].read_text())
+        table = SelectionTable.load_json(paths["table"])
+        assert table.lookup("reduce", 16, 8) == "knomial"
+        assert result.table.lookup("reduce", 16, 8) == "knomial"
+        rules = paths["rules"].read_text()
+        assert "knomial" not in rules
+        rule_lines = [line.split("#") for line in rules.splitlines()
+                      if len(line.split("#")[0].split()) == 4]
+        assert rule_lines
+        for fields, algorithm in rule_lines:
+            info = get_algorithm("reduce", algorithm.strip())
+            assert info.ompi_id is not None
+            assert int(fields.split()[1]) == info.ompi_id
 
     def test_strategy_is_pluggable(self, bench):
         campaign = TuningCampaign(

@@ -140,6 +140,44 @@ class TestMain:
         assert main(argv) == 0
         assert "+0 sweeps" in capsys.readouterr().out
 
+    def test_lint_store_flags_a_poisoned_cell_the_service_then_skips(
+            self, capsys, tmp_path):
+        from dataclasses import replace
+
+        from repro.bench.metrics import CollectiveTiming
+        from repro.service import SOURCE_STORE, SelectionService
+        from repro.store import TuningStore, content_hash
+
+        db = str(tmp_path / "tuning.db")
+        assert main([
+            "tune", "--nodes", "2", "--cores", "2",
+            "--collectives", "alltoall", "allreduce", "--sizes", "64", "1KiB",
+            "--out", str(tmp_path / "tuned"), "--store", db,
+        ]) == 0
+        # One physically impossible cell: a real alltoall cell's timings
+        # pushed far below the machine's bandwidth floor, plus a rule
+        # derived from it.
+        with TuningStore(db) as store:
+            cell = next(iter(next(store.load_sweeps("alltoall")).cells.values()))
+            poisoned = replace(cell, algorithm="poisoned", timings=[
+                CollectiveTiming(np.zeros_like(t.arrivals),
+                                 np.full_like(t.exits, 1e-15))
+                for t in cell.timings])
+            store.ingest_result(poisoned)
+            store.add_rule(store.strategies()[0], "alltoall", cell.num_ranks,
+                           cell.msg_bytes, "poisoned")
+        coord = (cell.num_ranks, cell.msg_bytes)
+        with SelectionService(db, watch_store=False) as service:
+            assert service.query("alltoall", *coord)["algorithm"] == "poisoned"
+        capsys.readouterr()
+        assert main(["lint-store", db, "--mark", "--fail-on", "error"]) != 0
+        assert "bandwidth_floor" in capsys.readouterr().out
+        with TuningStore(db) as store:
+            assert content_hash(poisoned.to_dict()) in store.suspect_hashes()
+        with SelectionService(db, watch_store=False) as service:
+            assert service.query("alltoall", *coord)["algorithm"] != "poisoned"
+            assert service.query("allreduce", *coord)["source"] == SOURCE_STORE
+
     def test_cache_stats_and_gc(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         assert main([

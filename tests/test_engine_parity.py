@@ -64,6 +64,12 @@ PINNED = {
         "29de3e8047dd4c32",
         8192,
     ),
+    ("alltoall", "linear_sync"): (
+        0.0005949667936507965,
+        "674bb8b98aa1ae79",
+        "29de3e8047dd4c32",
+        16256,
+    ),
 }
 
 

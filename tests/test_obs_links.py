@@ -19,6 +19,7 @@ from repro import obs
 from repro.collectives import make_input, run_collective
 from repro.collectives.base import CollArgs
 from repro.obs.analysis import TraceAnalysis
+from repro.obs.expose import render_prometheus
 from repro.obs.linkstats import RX, TX, LinkStatsRecorder, link_name, port_name
 from repro.reporting.weather import render_weather_map
 from repro.sim.flow import FlowConfig
@@ -353,7 +354,7 @@ class TestLinkRendering:
         octx = _linked_run(HETERO, _alltoall_prog("basic_linear"))
         published = octx.links.publish_gauges(octx.metrics)
         assert published == len({(r[0], r[1], r[2]) for r in octx.links})
-        text = obs.render_prometheus(octx.metrics)
+        text = render_prometheus(octx.metrics)
         assert 'link_busy_seconds{' in text
         assert 'port="node0"' in text
 

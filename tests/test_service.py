@@ -308,6 +308,32 @@ class TestTCPServer:
         assert error["ok"] is False and error["error"] == "ProtocolError"
         assert pong["ok"] is True
 
+    def test_over_long_line_gets_error_then_close(self, seeded_store):
+        import socket
+
+        from repro.service.server import MAX_REQUEST_BYTES
+
+        pad = "x" * (2 * MAX_REQUEST_BYTES)
+        line = json.dumps({"op": "ping", "pad": pad}).encode() + b"\n"
+        service = SelectionService(seeded_store, watch_store=False)
+        with SelectionServer(service) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                try:
+                    sock.sendall(line)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the server may close before the line is sent
+                f = sock.makefile("rb")
+                error = json.loads(f.readline())
+                eof = f.readline()
+            with SelectionClient(host, port) as client:
+                pong = client.ping()
+        service.close()
+        assert error["ok"] is False and error["error"] == "ProtocolError"
+        assert str(MAX_REQUEST_BYTES) in error["detail"]
+        assert eof == b""
+        assert pong["ok"] is True
+
 
 class TestHotReload:
     def _add_rule(self, path, algorithm):
@@ -545,7 +571,7 @@ class TestPrometheusEndToEnd:
     def test_scrape_round_trips_labeled_service_metrics(self, seeded_store):
         import urllib.request
 
-        from repro.obs import MetricsHTTPServer, parse_prometheus
+        from repro.obs.expose import MetricsHTTPServer, parse_prometheus
 
         with SelectionService(seeded_store, watch_store=False) as service:
             service.query("alltoall", 4, 1024)
