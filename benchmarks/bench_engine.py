@@ -23,7 +23,7 @@ from repro.sim.platform import Platform, get_machine
 
 # Aligned entries (single collective from t=0), no payload materialization:
 # the scale benches time the engine, not result building.
-_HYBRID = FlowConfig(mode="hybrid", declared_spread=0.0, payloads=False)
+_HYBRID = FlowConfig(declared_spread=0.0, payloads=False)
 
 scale_only = pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_SCALE") != "1",
@@ -135,8 +135,7 @@ def bench_engine_alltoall_512_hydra_skewed(benchmark):
     p = plat.num_ranks
     args = CollArgs(count=4, msg_bytes=1024.0)
     skews = generate_pattern("random", p, max_skew=2e-3, seed=0).skews
-    flow = FlowConfig(mode="hybrid",
-                      declared_spread=float(skews.max() - skews.min()),
+    flow = FlowConfig(declared_spread=float(skews.max() - skews.min()),
                       payloads=False)
     job = _flow_collective_job(plat, "alltoall", "basic_linear", args, flow,
                                NetworkParams(**spec.network), skews)
@@ -203,15 +202,15 @@ def bench_engine_allreduce_8192(benchmark):
 
 @scale_only
 def bench_engine_alltoall_16384_flow(benchmark):
-    """A 16384-rank pairwise Alltoall (~268M messages) in forced flow mode —
-    the new scale ceiling.  Exact simulation at this size is out of reach
-    (hundreds of millions of events); flow mode costs p-1 vectorized
-    steps."""
+    """A 16384-rank pairwise Alltoall (~268M messages) through the hybrid
+    engine — the scale ceiling.  Exact simulation at this size is out of
+    reach (hundreds of millions of events); single-core nodes keep every
+    port single-owner, so the stepped replay is bit-exact and costs p-1
+    vectorized steps."""
     plat = Platform("t", nodes=16384, cores_per_node=1)
     p = plat.num_ranks
     args = CollArgs(count=4, msg_bytes=1024.0)
-    flow = FlowConfig(mode="flow", payloads=False)
-    job = _flow_collective_job(plat, "alltoall", "pairwise", args, flow)
+    job = _flow_collective_job(plat, "alltoall", "pairwise", args, _HYBRID)
 
     result = benchmark.pedantic(job, rounds=1, iterations=1)
     assert 0 < result.events_processed <= 4 * p

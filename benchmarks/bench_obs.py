@@ -42,7 +42,7 @@ _EXACT_ARGS = CollArgs(count=8192, msg_bytes=float(8 * 8192))
 #: Hybrid pair: the largest eager message (the flow engine's linear
 #: alltoall plan only covers the eager regime).
 _HYBRID_ARGS = CollArgs(count=512, msg_bytes=float(8 * 512))
-_HYBRID = FlowConfig(mode="hybrid", declared_spread=0.0, payloads=False)
+_HYBRID = FlowConfig(declared_spread=0.0, payloads=False)
 
 
 def _alltoall_job(args, flow, linked: bool, max_links: int | None = None):

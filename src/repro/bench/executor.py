@@ -114,7 +114,6 @@ class CellSpec:
     op: str = "sum"
     segment_bytes: float | None = None
     engine_mode: str = "exact"
-    flow_tolerance: float = 0.0
     # Vector-collective count schedule (None for regular collectives): a
     # length-p tuple, or a (p, p) tuple-of-tuples for alltoallv.
     counts: tuple | None = None
@@ -167,7 +166,6 @@ class CellSpec:
             op=op.name if op is not None else "sum",
             segment_bytes=float(segment_bytes) if segment_bytes is not None else None,
             engine_mode=bench.engine_mode,
-            flow_tolerance=bench.flow_tolerance,
             counts=counts,
             item_bytes=float(run_kwargs.get("item_bytes", 8.0)),
         )
@@ -195,7 +193,6 @@ class CellSpec:
             harmonize_slack=self.harmonize_slack,
             machine_name=self.machine_name,
             engine_mode=self.engine_mode,
-            flow_tolerance=self.flow_tolerance,
         )
 
     def run(self) -> "BenchResult":
@@ -244,7 +241,6 @@ class CellSpec:
         # results cached before the flow engine existed) stay valid.
         if self.engine_mode != "exact":
             d["engine_mode"] = self.engine_mode
-            d["flow_tolerance"] = self.flow_tolerance
         # Same stability rule for vector cells: regular-collective keys are
         # untouched by the counts extension.
         if self.counts is not None:

@@ -75,15 +75,9 @@ class MicroBenchmark:
         Payload items per contribution — decoupled from the modeled
         ``msg_bytes`` (see :class:`~repro.collectives.base.CollArgs`).
     engine_mode:
-        ``"exact"`` (per-message simulation), ``"hybrid"`` (flow-level fast
-        path where provably bit-exact, exact otherwise), or ``"flow"``
-        (always flow — analytic approximation under skew).  See
+        ``"exact"`` (per-message simulation) or ``"hybrid"`` (flow-level
+        fast path where provably bit-exact, exact otherwise).  See
         :mod:`repro.sim.flow`.
-    flow_tolerance:
-        Hybrid-mode arrival-spread tolerance in seconds for stepped plans
-        on shared node ports; patterns whose declared skew spread exceeds
-        it take the exact path there.  Linear plans and stepped plans on
-        private ports engage at any declared spread.
     """
 
     platform: Platform
@@ -96,7 +90,6 @@ class MicroBenchmark:
     harmonize_slack: float = 1e-3
     machine_name: str = ""
     engine_mode: str = "exact"
-    flow_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
         if self.nrep <= 0:
@@ -110,8 +103,6 @@ class MicroBenchmark:
                 f"unknown engine_mode {self.engine_mode!r}; "
                 f"expected one of {ENGINE_MODES}"
             )
-        if self.flow_tolerance < 0:
-            raise ConfigurationError("flow_tolerance must be non-negative")
         get_noise_profile(self.noise_profile)  # validate early
 
     @classmethod
@@ -221,23 +212,18 @@ class MicroBenchmark:
             return observations
 
         flow = None
-        if self.engine_mode != "exact":
+        if self.engine_mode == "hybrid":
             # Each repetition harmonizes, so collective entries are aligned
-            # up to the pattern's skews: declare that spread so hybrid
-            # dispatch can prove (or refuse) flow eligibility.  Synced
-            # clocks add drift-dependent wait error on top, which cannot be
-            # bounded here — leave the spread undeclared (hybrid then takes
-            # the exact path; forced flow still engages).
+            # up to the pattern's skews: declare that spread so dispatch can
+            # prove (or refuse) flow eligibility.  Synced clocks add
+            # drift-dependent wait error on top, which cannot be bounded
+            # here — leave the spread undeclared (the exact path then runs).
             declared = (
                 float(pattern.skews.max() - pattern.skews.min())
                 if not synced
                 else None
             )
-            flow = FlowConfig(
-                mode=self.engine_mode,
-                tolerance=self.flow_tolerance,
-                declared_spread=declared,
-            )
+            flow = FlowConfig(declared_spread=declared)
         with octx.wall_span(
             "bench.cell", track="bench",
             args={"collective": collective, "algorithm": algorithm,

@@ -19,6 +19,7 @@ from repro._version import __version__
 from repro.errors import ReproError
 from repro.experiments import tables
 from repro.experiments.common import ExperimentConfig
+from repro.sim.flow import ENGINE_MODES
 
 _FIG_COLLECTIVES = ("reduce", "allreduce", "alltoall")
 
@@ -42,12 +43,11 @@ def _add_common(parser: argparse.ArgumentParser, machine_default: str = "hydra",
                         help="content-addressed result cache; re-runs skip "
                         "already-simulated cells")
     parser.add_argument("--engine-mode", default="exact",
-                        choices=("exact", "hybrid", "flow"),
+                        choices=ENGINE_MODES,
                         help="collective simulation engine: 'exact' simulates "
                         "every message; 'hybrid' collapses provably bit-exact "
                         "regular phases into analytic flow batches (large-scale "
-                        "speedup, identical results); 'flow' forces the "
-                        "analytic path even where it only approximates")
+                        "speedup, identical results)")
     parser.add_argument("--verbose", action="store_true",
                         help="print aggregate engine statistics (events, match "
                         "fast-path hits, events/s) to stderr when done; worker "

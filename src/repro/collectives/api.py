@@ -85,7 +85,7 @@ def run_collective(ctx: ProcContext, collective: str, algorithm: str, args: Coll
     arrival-to-exit span on the rank's virtual-time track — which is what
     makes process arrival patterns readable straight off the trace.
 
-    When the engine carries a flow runtime (``--engine-mode hybrid|flow``,
+    When the engine carries a flow runtime (``--engine-mode hybrid``,
     see :mod:`repro.sim.flow`) and the schedule declares a phase plan
     eligible under the dispatch rules, the call is collapsed into one flow
     batch instead of per-message simulation; the span/counter semantics are

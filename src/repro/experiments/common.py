@@ -62,7 +62,7 @@ class ExperimentConfig:
     jobs: int = 1
     #: On-disk result cache directory (None disables caching).
     cache_dir: str | None = None
-    #: Engine dispatch mode: "exact", "hybrid", or "flow" (repro.sim.flow).
+    #: Engine dispatch mode: "exact" or "hybrid" (repro.sim.flow).
     engine_mode: str = "exact"
 
     def __post_init__(self) -> None:

@@ -82,17 +82,24 @@ class SelectionClient(_ClientBase):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7453, *,
                  timeout: float = 10.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._peer = f"{host}:{port}"
+        try:
+            self._sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
+            raise ServiceError(f"cannot connect to {self._peer}: {exc}") from None
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
         self._lock = Lock()
 
     def request(self, payload: dict) -> dict:
         line = json.dumps(payload, separators=(",", ":")).encode() + b"\n"
-        with self._lock:
-            self._wfile.write(line)
-            self._wfile.flush()
-            reply = self._rfile.readline()
+        try:
+            with self._lock:
+                self._wfile.write(line)
+                self._wfile.flush()
+                reply = self._rfile.readline()
+        except OSError as exc:   # timeouts included
+            raise ServiceError(f"request to {self._peer} failed: {exc}") from None
         if not reply:
             raise ServiceError("server closed the connection")
         try:

@@ -37,6 +37,7 @@ erroring requests for ``op:debug`` and SIGUSR1 dumps.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -387,6 +388,8 @@ class SelectionService:
             raise ConfigurationError(
                 f"msg_bytes must be a non-negative number, got {msg_bytes!r}"
             )
+        if not math.isfinite(msg_bytes):
+            raise ConfigurationError(f"msg_bytes must be finite, got {msg_bytes!r}")
         if pattern is not None and not isinstance(pattern, str):
             raise ConfigurationError(
                 f"pattern must be a string or null, got {pattern!r}"

@@ -49,7 +49,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, TextIO
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.core import SelectionService
@@ -282,7 +282,10 @@ class SelectionServer:
                  slow_log_seconds: float = 0.1) -> None:
         self.service = service
         self.logger = logger
-        self._tcp = _TCPServer((host, port), _Handler)
+        try:
+            self._tcp = _TCPServer((host, port), _Handler)
+        except OSError as exc:
+            raise ServiceError(f"cannot listen on {host}:{port}: {exc}") from None
         self._tcp.service = service
         self._tcp.logger = logger
         self._tcp.slow_log_seconds = float(slow_log_seconds)

@@ -47,20 +47,19 @@ The provable-exactness domain splits on plan kind and port ownership:
   claiming rank** for the whole phase (ring schedules qualify; strided
   exchanges like pairwise or recursive doubling do not — several
   co-located ranks would contend for the node NIC, which the vectorized
-  replay does not serialize).  Hybrid mode falls back or refuses these
-  cases; forced ``flow`` mode runs them anyway as analytic approximations
-  (see ``docs/performance.md``).
+  replay does not serialize).  Dispatch falls back on these cases, and the
+  gate refuses them when a declaration turns out false.
 
 Every replay assumes the phase's own messages are the only traffic, so a
-hybrid gate checks at resolution that it was **quiet** and raises
+gate checks at resolution that it was **quiet** and raises
 :class:`SimulationError` otherwise: no event was scheduled from the first
 arrival on, only the other ranks' entries were pending at the first
 arrival, and no rank holds a posted receive or an unmatched message.
 Linear gates also require every port to be free by the earliest entry
 (see :meth:`FlowGate._unquiet`).
 
-Dispatch rules (``hybrid`` mode)
---------------------------------
+Dispatch rules
+--------------
 A collective call takes the flow path only when **all** of these hold,
 otherwise it falls back to exact per-message simulation and bumps the
 ``flow.fallback_*`` counters:
@@ -74,10 +73,9 @@ otherwise it falls back to exact per-message simulation and bumps the
   window (synced-clock harmonize targets), which the quiet check would
   refuse;
 * for stepped plans on shared-port platforms: the declared spread is
-  within ``FlowConfig.tolerance`` (default 0.0 — perfectly aligned
-  phases), and the gate re-checks the *actual* entry spread at
-  resolution, raising :class:`SimulationError` if the declaration was
-  violated; stepped plans on private-port platforms are skew-exact and
+  zero (perfectly aligned phases), and the gate re-checks the *actual*
+  entry spread at resolution, raising :class:`SimulationError` if it is
+  nonzero; stepped plans on private-port platforms are skew-exact and
   skip both checks;
 * the platform is link-class uniform, unless the plan sets ``hetero_ok``
   (ring-structured and linear schedules keep single-owner port access on
@@ -98,48 +96,32 @@ from repro.obs.context import current as _obs_current
 from repro.obs.linkstats import RX, TX, encode_port
 from repro.sim.engine import _EV_RESUME, Engine
 
-ENGINE_MODES = ("exact", "hybrid", "flow")
+ENGINE_MODES = ("exact", "hybrid")
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """How (and whether) the flow fast path engages for a run.
+    """Enables the flow fast path for a run (the ``hybrid`` engine mode).
+
+    The flow path engages where a plan exists and the replay is provably
+    bit-identical to the exact engine (see the module docstring).
 
     Parameters
     ----------
-    mode:
-        ``"exact"`` — never; ``"hybrid"`` — where a plan exists and the
-        replay is provably bit-identical (see the module docstring);
-        ``"flow"`` — on every planned phase regardless of skew (analytic
-        approximation).
-    tolerance:
-        Maximum declared arrival spread (seconds) the hybrid dispatcher
-        accepts for stepped plans on shared node ports.  0.0 (the default)
-        admits only perfectly aligned phases, the regime where their
-        replay is provably bit-identical.  Linear plans and stepped plans
-        on private ports ignore it.
     declared_spread:
         The arrival spread the harness *promises* for collective entries
         (``max(skew) - min(skew)`` of the pattern under a perfect clock).
         ``None`` means unknown (e.g. synced-clock mode) and disables the
-        hybrid fast path entirely.
+        fast path entirely.
     payloads:
         When False, flow-path collectives return ``None`` instead of the
         reference result — scale benchmarks skip the O(p^2) payload work.
     """
 
-    mode: str = "hybrid"
-    tolerance: float = 0.0
     declared_spread: float | None = None
     payloads: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in ENGINE_MODES:
-            raise ConfigurationError(
-                f"unknown engine mode {self.mode!r}; expected one of {ENGINE_MODES}"
-            )
-        if self.tolerance < 0:
-            raise ConfigurationError("flow tolerance must be non-negative")
         if self.declared_spread is not None and self.declared_spread < 0:
             raise ConfigurationError("declared_spread must be non-negative")
 
@@ -659,7 +641,7 @@ class FlowGate:
     the state back, and schedule every rank's resume (rank-ascending) at
     its computed exit time with its result as the resume value.
 
-    In hybrid mode :meth:`resolve` first checks that the gate was *quiet*
+    :meth:`resolve` first checks that the gate was *quiet*
     (:meth:`_unquiet`): the replay sees only the phase's own traffic, so
     nothing else may be in flight, queued or posted across it.
     """
@@ -703,32 +685,26 @@ class FlowGate:
         runtime = self.runtime
         engine = runtime.engine
         plan = self.plan
-        cfg = runtime.config
         runtime._active_gate = None
         p = engine.num_procs
         nt = runtime.net_tables
         entries = np.array([f.now for f in self.fibers])
         state = _PortState(engine)
-        if cfg.mode == "hybrid":
-            problem = self._unquiet(entries, state)
-            if problem is not None:
-                raise SimulationError(
-                    f"flow gate for {plan.collective}/{plan.algorithm}: "
-                    f"{problem}, so the flow replay would not match the exact "
-                    "engine; rerun with --engine-mode exact"
-                )
-            spread = float(entries.max() - entries.min())
-            if plan.kind == "stepped" and not nt.private_ports and (
-                spread > cfg.tolerance
-            ):
-                raise SimulationError(
-                    f"flow gate for {plan.collective}/{plan.algorithm}: actual "
-                    f"entry spread {spread:.3g}s exceeds the hybrid tolerance "
-                    f"{cfg.tolerance:.3g}s — the declared pattern spread did "
-                    "not hold at this phase (collectives not separated by a "
-                    "harmonized barrier?); rerun with --engine-mode exact, or "
-                    "--engine-mode flow to accept an analytic approximation"
-                )
+        problem = self._unquiet(entries, state)
+        if problem is not None:
+            raise SimulationError(
+                f"flow gate for {plan.collective}/{plan.algorithm}: "
+                f"{problem}, so the flow replay would not match the exact "
+                "engine; rerun with --engine-mode exact"
+            )
+        spread = float(entries.max() - entries.min())
+        if plan.kind == "stepped" and not nt.private_ports and spread > 0.0:
+            raise SimulationError(
+                f"flow gate for {plan.collective}/{plan.algorithm}: actual "
+                f"entry spread {spread:.3g}s is nonzero — the declared zero "
+                "spread did not hold at this phase (collectives not separated "
+                "by a harmonized barrier?); rerun with --engine-mode exact"
+            )
         accum = _LinkAccum(nt) if engine._obs_link is not None else None
         if plan.kind == "linear":
             order = np.array(self.order, dtype=np.int64)
@@ -739,7 +715,7 @@ class FlowGate:
         if accum is not None:
             accum.emit(engine._obs_link, float(entries.min()),
                        float(exits.max()), engine.activity)
-        if cfg.payloads and self.result_fn is not None:
+        if runtime.config.payloads and self.result_fn is not None:
             results = self.result_fn(self.data)
         else:
             results = [None] * p
@@ -751,8 +727,6 @@ class FlowGate:
             engine._schedule(
                 exit_t if exit_t >= floor else floor, _EV_RESUME, fib, results[r]
             )
-        runtime.batches += 1
-        runtime.messages_collapsed += plan.est_messages
         octx = _obs_current()
         if octx.enabled:
             labels = {"algorithm": plan.algorithm}
@@ -793,24 +767,16 @@ class FlowGate:
 
 
 class FlowRuntime:
-    """Per-engine flow state: dispatch decisions, gates, and counters.
+    """Per-engine flow state: dispatch decisions and gates.
 
     Attached to an engine as ``engine.flow_runtime`` by
-    :func:`repro.sim.mpi.build_engine` when a :class:`FlowConfig` with a
-    non-exact mode is supplied.  The plain attribute counters mirror the
-    ``flow.*`` obs counters so benchmarks can assert coverage without an
-    open observability session.
+    :func:`repro.sim.mpi.build_engine` when a :class:`FlowConfig` is
+    supplied.  Engagement is counted only by the ``flow.*`` obs counters.
     """
 
     def __init__(self, engine: Engine, config: FlowConfig) -> None:
-        if config.mode == "exact":
-            raise ConfigurationError("FlowRuntime is pointless in exact mode")
         self.engine = engine
         self.config = config
-        self.batches = 0
-        self.messages_collapsed = 0
-        self.fallback_calls = 0
-        self.fallback_messages = 0
         self._active_gate: FlowGate | None = None
         self._nt: _NetTables | None = None
         self._owner_cache: dict[tuple, bool] = {}
@@ -849,39 +815,31 @@ class FlowRuntime:
         if plan is None:
             self._count_fallback(ctx, "no_plan", 0)
             return None
-        cfg = self.config
+        spread = self.config.declared_spread
         nt = self.net_tables
         reason = None
+        # An unknown spread lets entries drift into the gate window
+        # (synced-clock harmonize targets), which the gate's quiet check
+        # refuses.  At a known spread, linear plans replay the exact
+        # engine's event order and stepped plans on private-port platforms
+        # are order-insensitive (single-owner ports; skew folds into the
+        # recurrences exactly); stepped plans on shared node ports need
+        # aligned entries.
         if not plan.hetero_ok and not nt.uniform:
             reason = "hetero"
-        elif cfg.mode == "hybrid":
-            # An unknown spread lets entries drift into the gate window
-            # (synced-clock harmonize targets), which the gate's quiet check
-            # refuses.  At a known spread, linear plans replay the exact
-            # engine's event order and stepped plans on private-port
-            # platforms are order-insensitive (single-owner ports; skew
-            # folds into the recurrences exactly); stepped plans on shared
-            # node ports need aligned entries.
-            if cfg.declared_spread is None:
-                reason = "unknown_spread"
-            elif plan.kind == "linear" or nt.private_ports:
-                pass
-            elif cfg.declared_spread > cfg.tolerance:
-                reason = "skew"
-            elif not self._single_port_owner(plan, args):
-                # The vectorized stepped replay chains each shared node port
-                # as one sequence; two ranks claiming the same port would
-                # need event-order serialization it does not model.
-                reason = "shared_contention"
+        elif spread is None:
+            reason = "unknown_spread"
+        elif plan.kind == "linear" or nt.private_ports:
+            pass
+        elif spread > 0.0:
+            reason = "spread"
+        elif not self._single_port_owner(plan, args):
+            # The vectorized stepped replay chains each shared node port as
+            # one sequence; two ranks claiming the same port would need
+            # event-order serialization it does not model.
+            reason = "shared_contention"
         if reason is not None:
-            if ctx.rank == 0:        # count once per collective call
-                # The plain attributes keep their original semantics (a plan
-                # existed but fell back); the labeled obs counters also see
-                # "no_plan" calls from the early returns above.
-                self.fallback_calls += 1
-                self.fallback_messages += plan.est_messages
-            self._count_fallback(ctx, "spread" if reason == "skew" else reason,
-                                 plan.est_messages)
+            self._count_fallback(ctx, reason, plan.est_messages)
             return None
         signature = (collective, algorithm, p, args.count, args.msg_bytes, args.tag)
         return self._flow_body(ctx, plan, signature, result_fn, data)

@@ -248,9 +248,9 @@ def build_engine(
 
     ``num_ranks`` may restrict the job to the first ranks of the platform
     (like an under-subscribed ``mpirun -np``).  ``flow`` is an optional
-    :class:`repro.sim.flow.FlowConfig`; a non-exact mode attaches a
-    :class:`~repro.sim.flow.FlowRuntime` enabling the flow-level fast path
-    for collectives with registered phase descriptors.
+    :class:`repro.sim.flow.FlowConfig`; when given, a
+    :class:`~repro.sim.flow.FlowRuntime` is attached, enabling the
+    flow-level fast path for collectives with registered phase descriptors.
     """
     network = NetworkModel(platform, params or NetworkParams())
     p = platform.num_ranks if num_ranks is None else num_ranks
@@ -259,7 +259,7 @@ def build_engine(
             f"num_ranks={num_ranks} outside 1..{platform.num_ranks} for {platform.name}"
         )
     engine = Engine(p, network)
-    if flow is not None and flow.mode != "exact":
+    if flow is not None:
         from repro.sim.flow import FlowRuntime
 
         engine.flow_runtime = FlowRuntime(engine, flow)

@@ -39,12 +39,14 @@ _BYTES_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 def parse_bytes(value: int | float | str) -> int:
     """Parse a byte count from an int, float, or string like ``"32KiB"``.
 
-    Raises :class:`ConfigurationError` for negative sizes or unknown units.
+    Raises :class:`ConfigurationError` for negative, non-finite or
+    fractional sizes and unknown units.
     """
     if isinstance(value, bool):
         raise ConfigurationError(f"invalid byte size: {value!r}")
     if isinstance(value, (int, float)):
-        if value < 0 or value != int(value):
+        # is_integer() is False for NaN and the infinities as well.
+        if value < 0 or (isinstance(value, float) and not value.is_integer()):
             raise ConfigurationError(f"invalid byte size: {value!r}")
         return int(value)
     match = _BYTES_RE.match(value)
@@ -55,7 +57,7 @@ def parse_bytes(value: int | float | str) -> int:
     if factor is None:
         raise ConfigurationError(f"unknown byte-size suffix {suffix!r} in {value!r}")
     result = float(number) * factor
-    if result != int(result):
+    if not result.is_integer():
         raise ConfigurationError(f"byte size {value!r} is not an integer number of bytes")
     return int(result)
 

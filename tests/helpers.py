@@ -1,4 +1,5 @@
-"""Test helpers: run a collective on every rank and collect results."""
+"""Test helpers: run a collective on every rank and collect results, and
+read flow counters out of a metrics snapshot."""
 
 from __future__ import annotations
 
@@ -44,3 +45,9 @@ def run_collective_all_ranks(
 
     run = run_processes(platform, prog, params=params, num_ranks=size)
     return run.rank_results, run, args, inputs
+
+
+def flow_counter(snapshot: dict, name: str) -> float:
+    """Sum the ``flow.*`` counter ``name`` over all its label sets."""
+    return sum(m["value"] for key, m in snapshot.items()
+               if key == name or key.startswith(name + "{"))

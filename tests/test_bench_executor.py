@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.bench import (
 from repro.bench.executor import run_cell
 from repro.bench.results import BenchResult, SweepResult
 from repro.collectives.ops import MAX
-from repro.patterns.generator import generate_pattern
+from repro.patterns.generator import ArrivalPattern, generate_pattern
 from repro.sim.platform import get_machine
 
 
@@ -72,6 +73,77 @@ class TestCellSpec:
         base = _spec(bench).cache_key()
         monkeypatch.setattr(executor_mod, "MODEL_VERSION", "0.0.0-test")
         assert _spec(bench).cache_key() != base
+
+
+# Exact-mode cache keys must stay valid across releases, so the dicts they
+# hash are pinned verbatim (cache_key() itself also hashes the version).
+_HYDRA_2X2 = {
+    "platform": {"name": "hydra", "nodes": 2, "cores_per_node": 2,
+                 "nodes_per_group": None},
+    "network": {
+        "eager_threshold": 4096,
+        "group_bandwidth": None,
+        "group_latency": None,
+        "inter_bandwidth": 12500000000.0,
+        "inter_latency": 1.4e-06,
+        "intra_bandwidth": 10000000000.0,
+        "intra_latency": 6e-07,
+        "recv_overhead": 3e-07,
+        "rx_serialization": True,
+        "send_overhead": 3e-07,
+        "shared_node_nic": True,
+    },
+    "nrep": 1,
+    "seed": 0,
+    "clock_mode": "perfect",
+    "noise_profile": "moderate",
+    "count": 64,
+    "harmonize_slack": 0.001,
+    "machine_name": "hydra",
+}
+_VECTOR_COUNTS = ((0, 1, 2, 3), (1, 0, 1, 0), (2, 2, 0, 2), (3, 0, 1, 0))
+
+
+def _pinned_cells(bench):
+    """(spec, pinned exact-mode dict) for one regular and one vector cell."""
+    pattern = ArrivalPattern("first_delayed", np.array([1e-5, 0.0, 0.0, 0.0]))
+    regular = _spec(bench, pattern=pattern)
+    vector = CellSpec.from_bench(bench, "alltoallv", "pairwise", 12, None,
+                                 counts=_VECTOR_COUNTS, item_bytes=4.0)
+    return [
+        (regular, {
+            **_HYDRA_2X2,
+            "collective": "alltoall",
+            "algorithm": "bruck",
+            "msg_bytes": 256.0,
+            "pattern": {"name": "first_delayed",
+                        "skews": [1e-05, 0.0, 0.0, 0.0]},
+            "op": "sum",
+            "segment_bytes": None,
+        }),
+        (vector, {
+            **_HYDRA_2X2,
+            "collective": "alltoallv",
+            "algorithm": "pairwise",
+            "msg_bytes": 12.0,
+            "pattern": None,
+            "op": "sum",
+            "segment_bytes": None,
+            "counts": [[0, 1, 2, 3], [1, 0, 1, 0], [2, 2, 0, 2], [3, 0, 1, 0]],
+            "item_bytes": 4.0,
+        }),
+    ]
+
+
+class TestCellSpecDictPins:
+    def test_exact_dicts_are_pinned(self, bench):
+        for spec, pinned in _pinned_cells(bench):
+            assert spec.to_dict() == pinned
+
+    def test_hybrid_dict_adds_only_the_engine_mode(self, bench):
+        for spec, pinned in _pinned_cells(bench):
+            hybrid = dataclasses.replace(spec, engine_mode="hybrid")
+            assert hybrid.to_dict() == {**pinned, "engine_mode": "hybrid"}
 
 
 class TestBenchResultRoundTrip:

@@ -29,6 +29,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_engine_mode_choices(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["fig4", "--engine-mode", "hybrid"]
+                                 ).engine_mode == "hybrid"
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["fig4", "--engine-mode", "flow"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'flow'" in capsys.readouterr().err
+
 
 class TestMain:
     def test_table_commands(self, capsys):
@@ -211,6 +220,20 @@ class TestMain:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_query_without_a_listener_is_one_error_line(self, capsys):
+        import socket
+
+        # Bind without listening: the port is ours, and connecting to it is
+        # refused.
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+            code = main(["query", "alltoall", "8", "64", "--port", str(port)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot connect to 127.0.0.1:{port}")
+        assert len(err.splitlines()) == 1
+
     def test_ext_subcommands_fast(self, capsys):
         assert main(["ext-nonblocking", "--nodes", "2", "--cores", "4",
                      "--fast"]) == 0
@@ -353,16 +376,24 @@ class TestProfile:
         assert counter["value"] == ranks * calls
         assert payload["engine"]["runs"] == 1
 
-    def test_workload_contend_attributes_both_jobs(self, capsys):
+    def test_workload_contend_attributes_both_jobs(self, capsys, tmp_path):
+        out_json = tmp_path / "contend.json"
         code = main([
             "workload", "contend", "halo_mix", "dlrm_embedding", "--fast",
             "--machine", "simcluster", "--nodes", "4", "--cores", "2",
-            "--links",
+            "--links", "--json", str(out_json),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "link wait attribution by job:" in out
         assert "job0-halo_mix" in out and "job1-dlrm_embedding" in out
+        result = json.loads(out_json.read_text())
+        jobs = ("job0-halo_mix", "job1-dlrm_embedding")
+        waits = result["wait_by_job"]
+        assert all(waits.get(job, 0) > 0 for job in jobs), waits
+        activities = {row["activity"] for row in result["attribution"]}
+        for job in jobs:
+            assert any(a.startswith(f"{job}:") for a in activities), job
 
     def test_trace_out_and_metrics_out_parse_everywhere(self):
         parser = build_parser()

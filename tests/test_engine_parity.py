@@ -21,6 +21,7 @@ from repro.collectives import CollArgs, make_input, run_collective
 from repro.patterns.generator import generate_pattern
 from repro.sim.mpi import build_engine, run_processes
 from repro.sim.platform import Platform
+from tests.helpers import flow_counter
 
 
 def digest_floats(values) -> str:
@@ -172,7 +173,7 @@ def _assert_hybrid_bitwise(plat, seq, skews, declared, expect_flow,
     exact = run_processes(plat, _flow_prog(seq, skews), params=params)
     hybrid = run_processes(
         plat, _flow_prog(seq, skews), params=params,
-        flow=FlowConfig(mode="hybrid", declared_spread=declared),
+        flow=FlowConfig(declared_spread=declared),
     )
     assert hybrid.final_time == exact.final_time          # bitwise, not approx
     assert hybrid.rank_times == exact.rank_times
@@ -346,12 +347,14 @@ def test_hybrid_parity_256_ranks():
 
 
 def _run_counted(plat, seq, skews, flow):
-    engine, contexts = build_engine(plat, flow=flow)
-    prog = _flow_prog(seq, skews)
-    for rank, ctx in enumerate(contexts):
-        engine.set_process(rank, prog(ctx))
-    engine.run()
-    return engine.flow_runtime
+    """Run under an obs session and return its metrics snapshot."""
+    with obs.session(record_spans=False) as octx:
+        engine, contexts = build_engine(plat, flow=flow)
+        prog = _flow_prog(seq, skews)
+        for rank, ctx in enumerate(contexts):
+            engine.set_process(rank, prog(ctx))
+        engine.run()
+        return octx.metrics.snapshot()
 
 
 def test_hybrid_fallback_on_skewed_linear():
@@ -362,11 +365,11 @@ def test_hybrid_fallback_on_skewed_linear():
     p = plat.num_ranks
     skews = generate_pattern("descending", p, max_skew=150e-6, seed=3).skews
     seq = [("alltoall", "basic_linear")]
-    rt = _run_counted(plat, seq, skews,
-                      FlowConfig(mode="hybrid", declared_spread=None))
-    assert rt.batches == 0
-    assert rt.fallback_calls == 1
-    assert rt.fallback_messages == p * (p - 1)
+    snap = _run_counted(plat, seq, skews, FlowConfig(declared_spread=None))
+    assert flow_counter(snap, "flow.batches") == 0
+    assert snap['flow.fallback_calls{reason="unknown_spread"}']["value"] == 1
+    assert snap['flow.fallback_messages{reason="unknown_spread"}'][
+        "value"] == p * (p - 1)
     # And the fallback run is still bit-identical to exact:
     _assert_hybrid_bitwise(plat, seq, skews, None, False)
 
@@ -379,11 +382,10 @@ def test_hybrid_engages_on_skewed_linear():
     skews = generate_pattern("descending", p, max_skew=150e-6, seed=3).skews
     declared = float(skews.max() - skews.min())
     seq = [("alltoall", "basic_linear")]
-    rt = _run_counted(plat, seq, skews,
-                      FlowConfig(mode="hybrid", declared_spread=declared))
-    assert rt.batches == 1
-    assert rt.fallback_calls == 0
-    assert rt.messages_collapsed == p * (p - 1)
+    snap = _run_counted(plat, seq, skews, FlowConfig(declared_spread=declared))
+    assert flow_counter(snap, "flow.batches") == 1
+    assert flow_counter(snap, "flow.fallback_calls") == 0
+    assert flow_counter(snap, "flow.messages_collapsed") == p * (p - 1)
     _assert_hybrid_bitwise(plat, seq, skews, declared, True)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.bench.micro import MicroBenchmark
 from repro.collectives import CollArgs, make_input, run_collective
 from repro.collectives.api import _flow_result_fn, reference_result
 from repro.errors import ConfigurationError, SimulationError
@@ -24,6 +25,7 @@ from repro.sim.flow import (
 )
 from repro.sim.mpi import build_engine, run_processes
 from repro.sim.platform import Platform
+from tests.helpers import flow_counter
 
 HETERO = Platform("hetero", nodes=16, cores_per_node=4)
 UNIFORM = Platform("uniform", nodes=64, cores_per_node=1)
@@ -52,12 +54,13 @@ def _single_collective_prog(collective, algorithm, args, skews=None):
 
 
 def _run_flow(plat, prog, flow):
-    """Run and return (result, flow_runtime) so counters are inspectable."""
-    engine, contexts = build_engine(plat, flow=flow)
-    for rank, ctx in enumerate(contexts):
-        engine.set_process(rank, prog(ctx))
-    engine.run()
-    return engine
+    """Run under an obs session; return (engine, metrics snapshot)."""
+    with obs.session(meta={"test": "flow"}) as octx:
+        engine, contexts = build_engine(plat, flow=flow)
+        for rank, ctx in enumerate(contexts):
+            engine.set_process(rank, prog(ctx))
+        engine.run()
+        return engine, octx.metrics.snapshot()
 
 
 # --------------------------------------------------------------------- #
@@ -179,7 +182,7 @@ def test_seq_chain_regimes_match_scalar_fold(regime):
     ],
 )
 def test_net_tables_port_privacy(plat, private, uniform):
-    engine, _ = build_engine(plat, flow=FlowConfig(mode="hybrid"))
+    engine, _ = build_engine(plat, flow=FlowConfig())
     nt = engine.flow_runtime.net_tables
     assert nt.private_ports is private
     assert nt.uniform is uniform
@@ -191,7 +194,7 @@ def test_net_tables_port_privacy(plat, private, uniform):
 
 
 def _plan_for(plat, collective, algorithm, args=ARGS):
-    engine, _ = build_engine(plat, flow=FlowConfig(mode="hybrid"))
+    engine, _ = build_engine(plat, flow=FlowConfig())
     fn = get_descriptor(collective, algorithm)
     assert fn is not None
     plan = fn(engine.num_procs, args, engine.network)
@@ -229,8 +232,8 @@ def test_owner_scan_verdict_is_cached():
 
 
 def test_flow_engages_on_eligible_cell():
-    """An eligible cell collapses into one flow batch: runtime and obs
-    counters agree and the event count stays at the O(p) start/resume
+    """An eligible cell collapses into one flow batch: the obs counters
+    record it and the event count stays at the O(p) start/resume
     skeleton.  The 4096-rank pairwise case guards the scale benchmarks
     against silently falling back to per-message simulation (a descriptor
     rename or an eligibility-rule change would still finish, just slowly)."""
@@ -245,30 +248,29 @@ def test_flow_engages_on_eligible_cell():
     cases = [
         (HETERO, "basic_linear",
          _single_collective_prog("alltoall", "basic_linear", ARGS),
-         FlowConfig(mode="hybrid", declared_spread=0.0)),
+         FlowConfig(declared_spread=0.0)),
         (wide, "pairwise", wide_prog,
-         FlowConfig(mode="hybrid", declared_spread=0.0, payloads=False)),
+         FlowConfig(declared_spread=0.0, payloads=False)),
     ]
     for plat, algorithm, prog, flow in cases:
         p = plat.num_ranks
-        with obs.session(meta={"test": "flow_engages"}) as octx:
-            engine = _run_flow(plat, prog, flow)
-            snap = octx.metrics.snapshot()
-        rt = engine.flow_runtime
-        assert rt.batches == 1, algorithm
+        engine, snap = _run_flow(plat, prog, flow)
+        assert flow_counter(snap, "flow.batches") == 1, algorithm
         assert snap[f'flow.batches{{algorithm="{algorithm}"}}']["value"] == 1
-        assert rt.fallback_calls == 0, algorithm
-        assert rt.messages_collapsed == p * (p - 1)
+        assert flow_counter(snap, "flow.fallback_calls") == 0, algorithm
+        assert flow_counter(snap, "flow.messages_collapsed") == p * (p - 1)
         assert 0 < engine.events_processed <= 4 * p, algorithm
 
 
 def test_shared_contention_falls_back():
     prog = _single_collective_prog("alltoall", "pairwise", ARGS)
-    engine = _run_flow(HETERO, prog, FlowConfig(mode="hybrid", declared_spread=0.0))
-    rt = engine.flow_runtime
-    assert rt.batches == 0
-    assert rt.fallback_calls == 1          # counted once, not once per rank
-    assert rt.fallback_messages == 64 * 63
+    _engine, snap = _run_flow(HETERO, prog, FlowConfig(declared_spread=0.0))
+    assert flow_counter(snap, "flow.batches") == 0
+    # Counted once, not once per rank.
+    assert flow_counter(snap, "flow.fallback_calls") == 1
+    assert snap['flow.fallback_calls{reason="shared_contention"}']["value"] == 1
+    assert snap['flow.fallback_messages{reason="shared_contention"}'][
+        "value"] == 64 * 63
 
 
 def test_vector_args_fall_back_with_reason():
@@ -285,51 +287,38 @@ def test_vector_args_fall_back_with_reason():
         return (yield from run_collective(
             ctx, "alltoallv", "basic_linear", args, data))
 
-    with obs.session(meta={"test": "vector_fallback"}) as octx:
-        engine = _run_flow(
-            HETERO, prog, FlowConfig(mode="hybrid", declared_spread=0.0))
-        snap = octx.metrics.snapshot()
-    rt = engine.flow_runtime
-    assert rt.batches == 0
-    # Like "no_plan", the vector early-return counts only in the labeled
-    # obs counter; the plain attribute means "a plan existed but fell back".
-    assert rt.fallback_calls == 0
+    _engine, snap = _run_flow(HETERO, prog, FlowConfig(declared_spread=0.0))
+    assert flow_counter(snap, "flow.batches") == 0
     assert snap['flow.fallback_calls{reason="vector"}']["value"] == 1
     assert 'flow.fallback_calls{reason="no_plan"}' not in snap
 
 
 def test_unknown_spread_falls_back():
     prog = _single_collective_prog("alltoall", "basic_linear", ARGS)
-    engine = _run_flow(HETERO, prog, FlowConfig(mode="hybrid", declared_spread=None))
-    assert engine.flow_runtime.batches == 0
-    assert engine.flow_runtime.fallback_calls == 1
+    _engine, snap = _run_flow(HETERO, prog, FlowConfig(declared_spread=None))
+    assert flow_counter(snap, "flow.batches") == 0
+    assert snap['flow.fallback_calls{reason="unknown_spread"}']["value"] == 1
 
 
 def test_declared_skew_beyond_tolerance_falls_back():
-    # Stepped plans on shared node ports need aligned entries.
+    # Stepped plans on shared node ports need a declared spread of zero.
     skews = np.linspace(0, 100e-6, HETERO.num_ranks)
     prog = _single_collective_prog("alltoall", "pairwise", ARGS, skews=skews)
-    engine = _run_flow(
-        HETERO, prog, FlowConfig(mode="hybrid", declared_spread=100e-6)
-    )
-    assert engine.flow_runtime.batches == 0
-    assert engine.flow_runtime.fallback_calls == 1
+    _engine, snap = _run_flow(HETERO, prog, FlowConfig(declared_spread=100e-6))
+    assert flow_counter(snap, "flow.batches") == 0
+    assert snap['flow.fallback_calls{reason="spread"}']["value"] == 1
 
 
 def test_skewed_stepped_engages_on_private_ports():
     skews = np.linspace(0, 100e-6, UNIFORM.num_ranks)
     prog = _single_collective_prog("alltoall", "pairwise", ARGS, skews=skews)
-    engine = _run_flow(
-        UNIFORM, prog, FlowConfig(mode="hybrid", declared_spread=100e-6)
-    )
-    assert engine.flow_runtime.batches == 1
+    _engine, snap = _run_flow(UNIFORM, prog, FlowConfig(declared_spread=100e-6))
+    assert flow_counter(snap, "flow.batches") == 1
 
 
 def test_flow_counters_reach_obs_metrics():
     prog = _single_collective_prog("alltoall", "basic_linear", ARGS)
-    with obs.session(meta={"test": "flow_counters"}) as octx:
-        _run_flow(HETERO, prog, FlowConfig(mode="hybrid", declared_spread=0.0))
-        snap = octx.metrics.snapshot()
+    _engine, snap = _run_flow(HETERO, prog, FlowConfig(declared_spread=0.0))
     key = 'flow.batches{algorithm="basic_linear"}'
     assert snap[key]["value"] == 1
     assert snap['flow.messages_collapsed{algorithm="basic_linear"}'][
@@ -353,7 +342,7 @@ def test_gate_signature_mismatch_raises():
 
     with pytest.raises(SimulationError, match="flow gate mismatch"):
         run_processes(HETERO, prog,
-                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+                      flow=FlowConfig(declared_spread=0.0))
 
 
 def test_stale_declaration_raises_at_resolve():
@@ -370,7 +359,7 @@ def test_stale_declaration_raises_at_resolve():
 
     with pytest.raises(SimulationError, match="actual entry spread"):
         run_processes(HETERO, prog,
-                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+                      flow=FlowConfig(declared_spread=0.0))
 
 
 def test_back_to_back_linear_raises_busy_ports():
@@ -385,7 +374,7 @@ def test_back_to_back_linear_raises_busy_ports():
 
     with pytest.raises(SimulationError, match="a port is busy until"):
         run_processes(HETERO, prog,
-                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+                      flow=FlowConfig(declared_spread=0.0))
 
 
 #: Common entry time of the gate-crossing programs below, and the post time
@@ -444,7 +433,7 @@ def test_traffic_across_hybrid_gate_raises(plat, collective, algorithm):
                           send_at=ENTRY - 1e-6)
     with pytest.raises(SimulationError, match="--engine-mode exact"):
         run_processes(plat, prog,
-                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+                      flow=FlowConfig(declared_spread=0.0))
 
 
 @pytest.mark.parametrize("recv_at,send_at,condition", [
@@ -458,26 +447,16 @@ def test_quiet_gate_conditions(recv_at, send_at, condition):
     prog = _crossing_prog("alltoall", "pairwise", recv_at, send_at)
     with pytest.raises(SimulationError, match=condition):
         run_processes(UNIFORM, prog,
-                      flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+                      flow=FlowConfig(declared_spread=0.0))
     # The same program is well formed: the exact engine runs it.
     assert run_processes(UNIFORM, prog).final_time > ENTRY
-
-
-def test_forced_flow_mode_accepts_skew():
-    # mode="flow" takes the analytic batch regardless of skew — it must
-    # complete and collapse the phase (no bitwise claim here).
-    skews = np.linspace(0, 200e-6, HETERO.num_ranks)
-    prog = _single_collective_prog("alltoall", "basic_linear", ARGS, skews=skews)
-    engine = _run_flow(HETERO, prog, FlowConfig(mode="flow"))
-    assert engine.flow_runtime.batches == 1
-    assert engine.now > 0
 
 
 def test_payloads_disabled_returns_none():
     prog = _single_collective_prog("alltoall", "basic_linear", ARGS)
     result = run_processes(
         HETERO, prog,
-        flow=FlowConfig(mode="hybrid", declared_spread=0.0, payloads=False),
+        flow=FlowConfig(declared_spread=0.0, payloads=False),
     )
     assert all(r is None for r in result.rank_results)
     assert result.final_time > 0
@@ -520,13 +499,11 @@ def test_batch_results_match_reference(collective, p, kind):
 
 
 def test_flow_config_validation():
-    assert ENGINE_MODES == ("exact", "hybrid", "flow")
-    with pytest.raises(ConfigurationError, match="unknown engine mode"):
-        FlowConfig(mode="fast")
-    with pytest.raises(ConfigurationError, match="tolerance"):
-        FlowConfig(tolerance=-1e-9)
+    assert ENGINE_MODES == ("exact", "hybrid")
     with pytest.raises(ConfigurationError, match="declared_spread"):
         FlowConfig(declared_spread=-1.0)
+    with pytest.raises(ConfigurationError, match="unknown engine_mode 'flow'"):
+        MicroBenchmark(platform=HETERO, engine_mode="flow")
 
 
 def test_max_events_error_names_activity_and_suggests_hybrid():

@@ -117,7 +117,7 @@ class TestExactHybridLinkParity:
 
     def test_per_link_bytes_and_messages_identical(self):
         exact = self._usage(None)
-        hybrid = self._usage(FlowConfig(mode="hybrid", declared_spread=0.0,
+        hybrid = self._usage(FlowConfig(declared_spread=0.0,
                                         payloads=False))
         ue = {(u["port"], u["cls"], u["direction"]): u
               for u in exact.link_usage()}
@@ -130,7 +130,7 @@ class TestExactHybridLinkParity:
 
     def test_top_hotspot_agrees(self):
         exact = self._usage(None)
-        hybrid = self._usage(FlowConfig(mode="hybrid", declared_spread=0.0,
+        hybrid = self._usage(FlowConfig(declared_spread=0.0,
                                         payloads=False))
         he = exact.link_hotspots(top=1)[0]
         hh = hybrid.link_hotspots(top=1)[0]
@@ -222,7 +222,7 @@ class TestLinkRecordPins:
             data = make_input(collective, ctx.rank, ctx.size, args.count)
             yield from run_collective(ctx, collective, algorithm, args, data)
 
-        flow = FlowConfig(mode="hybrid", declared_spread=0.0, payloads=False)
+        flow = FlowConfig(declared_spread=0.0, payloads=False)
         with obs.session(record_links=True) as octx:
             run_processes(plat, prog, flow=flow)
             batches = octx.metrics.snapshot()[
@@ -276,7 +276,7 @@ class TestFallbackReasonLabels:
 
     def test_shared_contention_reason(self):
         snap = self._labeled(
-            "pairwise", FlowConfig(mode="hybrid", declared_spread=0.0))
+            "pairwise", FlowConfig(declared_spread=0.0))
         key = obs.metric_key("flow.fallback_calls",
                              {"reason": "shared_contention"})
         assert snap[key]["value"] == 1
@@ -288,14 +288,14 @@ class TestFallbackReasonLabels:
         # Stepped plans on shared node ports need aligned entries.
         snap = self._labeled(
             "pairwise",
-            FlowConfig(mode="hybrid", declared_spread=100e-6))
+            FlowConfig(declared_spread=100e-6))
         key = obs.metric_key("flow.fallback_calls", {"reason": "spread"})
         assert snap[key]["value"] == 1
 
     def test_no_plan_reason(self):
         # bruck has no flow descriptor: previously uncounted, now labeled.
         snap = self._labeled(
-            "bruck", FlowConfig(mode="hybrid", declared_spread=0.0))
+            "bruck", FlowConfig(declared_spread=0.0))
         key = obs.metric_key("flow.fallback_calls", {"reason": "no_plan"})
         assert snap[key]["value"] == 1
         mkey = obs.metric_key("flow.fallback_messages", {"reason": "no_plan"})

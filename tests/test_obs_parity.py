@@ -87,7 +87,7 @@ class TestTracedUntracedParity:
             )
             return out
 
-        flow = FlowConfig(mode="hybrid", declared_spread=0.0)
+        flow = FlowConfig(declared_spread=0.0)
         plain = run_processes(platform, prog, flow=flow)
         with obs.session() as octx:
             traced = run_processes(platform, prog, flow=flow)
@@ -127,7 +127,7 @@ class TestTracedUntracedParity:
             )
             return out
 
-        flow = FlowConfig(mode="hybrid", declared_spread=0.0)
+        flow = FlowConfig(declared_spread=0.0)
         plain = run_processes(platform, prog, flow=flow)
         with obs.session(record_links=True) as octx:
             traced = run_processes(platform, prog, flow=flow)

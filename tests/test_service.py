@@ -210,6 +210,21 @@ class TestProtocol:
         assert reply["error"] == "ConfigurationError"
         assert "comm_size" in reply["detail"]
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_msg_bytes_rejected(self, seeded_store, token):
+        # Python's json module accepts these tokens; a reply echoing them
+        # back would not be RFC 8259 JSON, so the query must fail first.
+        request = json.loads('{"collective": "alltoall", "comm_size": 16, '
+                             f'"msg_bytes": {token}}}')
+        with SelectionService(seeded_store) as service:
+            before = service.cache_len()
+            reply = handle_request(service, request)
+            assert service.cache_len() == before
+        assert reply["ok"] is False
+        assert reply["error"] == "ConfigurationError"
+        assert "msg_bytes" in reply["detail"]
+        json.loads(encode_reply(reply), parse_constant=pytest.fail)
+
     def test_unknown_op_rejected(self, seeded_store):
         with SelectionService(seeded_store) as service:
             reply = handle_request(service, {"op": "frobnicate"})
@@ -333,6 +348,30 @@ class TestTCPServer:
         assert str(MAX_REQUEST_BYTES) in error["detail"]
         assert eof == b""
         assert pong["ok"] is True
+
+    def test_bind_failure_is_a_service_error(self, seeded_store):
+        import socket
+
+        with SelectionService(seeded_store, watch_store=False) as service, \
+                socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            with pytest.raises(ServiceError, match=f"127.0.0.1:{port}"):
+                SelectionServer(service, port=port)
+
+    def test_request_timeout_is_a_service_error(self):
+        import socket
+
+        # The kernel completes the handshake from the listen backlog, but
+        # nothing ever answers.
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen()
+            port = silent.getsockname()[1]
+            with SelectionClient("127.0.0.1", port, timeout=0.2) as client:
+                with pytest.raises(ServiceError, match="timed out"):
+                    client.ping()
 
 
 class TestHotReload:

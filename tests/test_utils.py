@@ -29,7 +29,11 @@ class TestParseBytes:
     def test_accepted(self, value, expected):
         assert parse_bytes(value) == expected
 
-    @pytest.mark.parametrize("value", ["-1", "1XB", "abc", -5, 3.5, "0.3B", True])
+    @pytest.mark.parametrize("value", [
+        "-1", "1XB", "abc", -5, 3.5, "0.3B", True,
+        float("nan"), float("inf"), float("-inf"),
+        pytest.param("9" * 400 + "KiB", id="overflows-float"),
+    ])
     def test_rejected(self, value):
         with pytest.raises(ConfigurationError):
             parse_bytes(value)
