@@ -7,10 +7,7 @@ paths, and a regression guard for the experiment suite's overall runtime.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pytest
 
 from repro.clocks import ClockSet
 from repro.clocks.sync import sync_clocks
@@ -24,11 +21,6 @@ from repro.sim.platform import Platform, get_machine
 # Aligned entries (single collective from t=0), no payload materialization:
 # the scale benches time the engine, not result building.
 _HYBRID = FlowConfig(declared_spread=0.0, payloads=False)
-
-scale_only = pytest.mark.skipif(
-    os.environ.get("REPRO_BENCH_SCALE") != "1",
-    reason="set REPRO_BENCH_SCALE=1 for the largest-scale engine benches",
-)
 
 
 def _flow_collective_job(plat, collective, algorithm, args, flow, params=None,
@@ -200,7 +192,6 @@ def bench_engine_allreduce_8192(benchmark):
     assert result.final_time > 0
 
 
-@scale_only
 def bench_engine_alltoall_16384_flow(benchmark):
     """A 16384-rank pairwise Alltoall (~268M messages) through the hybrid
     engine — the scale ceiling.  Exact simulation at this size is out of

@@ -16,9 +16,10 @@ engine targets:
   bulk-phase regime the flow engine accelerates.  Recording there is one
   vectorized aggregate pass per batch, not per message.
 
-``check_obs_overhead.py`` compares the pair medians and warns when the
-enabled-mode overhead exceeds its budget (10%), and diffs both against
-the committed ``BENCH_obs.json`` baseline.
+``gate.py`` checks these benches against ``BENCH_engine.json``, where
+each linked entry names its untraced sibling (``versus``): it warns when
+the linked median exceeds the untraced median of the same run by more
+than the entry's 10% tolerance.
 
 The session opens *inside* the timed job so every iteration pays the
 full lifecycle (fresh ring, recording, teardown) — the honest cost a

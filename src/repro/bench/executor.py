@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -366,9 +367,17 @@ class ResultCache:
             "result": result.to_dict(),
             "telemetry": telemetry.to_dict() if telemetry is not None else None,
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record))
-        tmp.replace(path)  # atomic: concurrent writers race benignly
+        # Each writer renames its own temporary, so concurrent writers of
+        # one key (runs sharing a cache directory) never touch each other's
+        # files; the last rename wins with an equal record.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(record))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return path
 
     # -- maintenance (repro-mpi cache) ---------------------------------- #

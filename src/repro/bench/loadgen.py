@@ -18,13 +18,17 @@ Four standard workloads bound the service's performance envelope:
 * ``reload_churn`` — the hot mix while a churn thread calls
   :meth:`reload` at a fixed cadence: tail latency under generation swaps.
 
-``python -m repro.bench.loadgen --store store.db --out
-benchmarks/BENCH_service.json`` writes the committed baseline consumed by
-``benchmarks/check_service_regression.py`` (workload coverage is the hard
-gate there; wall-clock drift only warns).  The run also cross-checks the
-service's own ``service.query_seconds`` histogram: its
-:meth:`~repro.obs.metrics.Histogram.quantile` estimates are reported next
-to the exact sample percentiles (``hist_p50_us`` / ``hist_p99_us``).
+``python -m repro.bench.loadgen --store store.db --out fresh.json``
+writes a payload for ``benchmarks/gate.py``: ``gate.py
+benchmarks/BENCH_service.json fresh.json`` checks it against the
+committed baseline (workload coverage is the hard gate there; wall-clock
+drift only warns), and ``--update`` records it there.  The mix is
+all-valid by construction, so a workload raises :class:`RuntimeError`
+when any query fails, and also when the service's own
+``service.query_seconds`` histogram did not see every query; the
+histogram's :meth:`~repro.obs.metrics.Histogram.quantile` estimates are
+reported next to the exact sample percentiles (``hist_p50_us`` /
+``hist_p99_us``).
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ class WorkloadResult:
         return self.queries / self.elapsed if self.elapsed > 0 else 0.0
 
     def payload(self) -> dict:
-        """The JSON-ready row for ``BENCH_service.json``."""
+        """The JSON-ready row of this workload in :func:`run_suite`'s payload."""
         us = 1e6
         return {
             "queries": self.queries,
@@ -222,6 +226,10 @@ def run_workload(service, name: str, config: LoadGenConfig) -> WorkloadResult:
             stop_churn.set()
             churn_thread.join(timeout=5)
 
+    if errors:
+        raise RuntimeError(
+            f"workload {name!r}: {errors} of {len(mix)} queries raised; the "
+            f"mix is all-valid, so the service misbehaved")
     result = WorkloadResult(name=name, queries=len(mix), errors=errors,
                             elapsed=elapsed, latencies=latencies,
                             reloads=reloads)
@@ -245,7 +253,8 @@ def run_suite(store, config: LoadGenConfig,
 
     ``store`` is a tuning-store path (or anything
     :class:`~repro.service.SelectionService` accepts).  Returns the
-    ``BENCH_service.json`` payload.
+    payload that ``benchmarks/gate.py`` checks against
+    ``BENCH_service.json``.
     """
     from repro.service import SelectionService
 
@@ -261,9 +270,9 @@ def run_suite(store, config: LoadGenConfig,
                      f"{result.errors} errors, {result.reloads} reloads")
     return {
         "_comment": (
-            "Selection-service load-generator baseline (see "
-            "check_service_regression.py). Regenerate with: python -m "
-            "repro.bench.loadgen --store <store.db> --update"
+            "Selection-service load-generator run; check it with python "
+            "benchmarks/gate.py benchmarks/BENCH_service.json <this file> "
+            "[--update]"
         ),
         "meta": {
             "queries_per_workload": config.queries,
@@ -295,22 +304,15 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"subset to run (default: all of {WORKLOADS})")
     parser.add_argument("--out", type=Path, default=None, metavar="PATH",
                         help="write the JSON payload here")
-    parser.add_argument("--update", action="store_true",
-                        help="write to the committed benchmarks/"
-                             "BENCH_service.json baseline")
     args = parser.parse_args(argv)
 
     config = LoadGenConfig(queries=args.queries, threads=args.threads,
                            seed=args.seed, batch_size=args.batch_size)
     payload = run_suite(args.store, config, tuple(args.workloads),
                         progress=lambda line: print(line, flush=True))
-    out = args.out
-    if args.update:
-        out = Path(__file__).resolve().parents[3] / "benchmarks" \
-            / "BENCH_service.json"
-    if out is not None:
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
+    if args.out is not None:
+        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.out}")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

@@ -16,7 +16,7 @@ import sys
 import time
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreError
 from repro.experiments import tables
 from repro.experiments.common import ExperimentConfig
 from repro.sim.flow import ENGINE_MODES
@@ -546,13 +546,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff_metrics(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs.analysis import diff_payloads
+    from repro.obs.export import read_json
 
-    baseline = json.loads(Path(args.baseline).read_text())
-    candidate = json.loads(Path(args.candidate).read_text())
+    baseline = read_json(args.baseline)
+    candidate = read_json(args.candidate)
     drifts = diff_payloads(baseline, candidate, threshold=args.threshold)
     if not drifts:
         print(f"metrics agree within {args.threshold:.1%}: "
@@ -657,6 +655,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_store(path: str) -> None:
+    """Refuse a store path that does not exist: opening it would create an
+    empty store, and a mistyped path would then read as a clean one."""
+    import os
+
+    if not os.path.exists(path):
+        raise StoreError(f"{path}: no such tuning store")
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
@@ -666,6 +673,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.store is not None:
         from repro.service import InProcessClient, SelectionService
 
+        _require_store(args.store)
         with SelectionService(args.store, watch_store=False) as service:
             client = InProcessClient(service)
             reply = client.query(args.collective, args.comm_size, msg_bytes,
@@ -692,6 +700,7 @@ def _cmd_lint_store(args: argparse.Namespace) -> int:
     from repro.lint import lint_store
     from repro.store import TuningStore
 
+    _require_store(args.store)
     with TuningStore(args.store) as store:
         report = lint_store(store)
         if args.mark:

@@ -214,7 +214,7 @@ def read_jsonl(path: str | Path) -> dict:
     input.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise TraceFormatError(f"{path}: empty obs stream")
     try:
@@ -257,12 +257,32 @@ def read_jsonl(path: str | Path) -> dict:
     return out
 
 
-def load_perfetto(path: str | Path) -> dict:
-    """Parse an exported Perfetto JSON file (validation helper)."""
+def _read_text(path: Path) -> str:
+    """``path``'s text; a file that cannot be read or decoded raises
+    :class:`~repro.errors.TraceFormatError` naming it."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return path.read_text()
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not a text file: {exc}") from None
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse an exported JSON file (a Perfetto trace or a metrics snapshot).
+
+    Raises :class:`~repro.errors.TraceFormatError` naming ``path`` when the
+    file cannot be read or is not JSON.
+    """
+    try:
+        return json.loads(_read_text(Path(path)))
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: not valid JSON: {exc}") from None
+
+
+def load_perfetto(path: str | Path) -> dict:
+    """Parse an exported Perfetto JSON file (validation helper)."""
+    payload = read_json(path)
     if not isinstance(payload, dict) or "traceEvents" not in payload:
         raise TraceFormatError(f"{path}: no traceEvents key")
     return payload
@@ -313,6 +333,7 @@ __all__ = [
     "metrics_payload",
     "export_jsonl",
     "read_jsonl",
+    "read_json",
     "load_perfetto",
     "dropped_span_warning",
     "rank_tracks",

@@ -1,7 +1,10 @@
-"""Test helpers: run a collective on every rank and collect results, and
-read flow counters out of a metrics snapshot."""
+"""Test helpers: run a collective on every rank and collect results, read
+flow counters out of a metrics snapshot, and load the benchmark gate."""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -51,3 +54,15 @@ def flow_counter(snapshot: dict, name: str) -> float:
     """Sum the ``flow.*`` counter ``name`` over all its label sets."""
     return sum(m["value"] for key, m in snapshot.items()
                if key == name or key.startswith(name + "{"))
+
+
+#: The repository's ``benchmarks/`` directory (benches, baselines, gate).
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_gate():
+    """Import ``benchmarks/gate.py``, a script outside the package."""
+    spec = importlib.util.spec_from_file_location("gate", BENCHMARKS / "gate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

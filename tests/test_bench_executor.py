@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,49 @@ class TestResultCache:
         cache.put(spec, run_cell(spec))
         cache.path_for(spec.cache_key()).write_text("{not json")
         assert cache.get(spec) is None
+
+    def test_concurrent_writers_of_one_key_both_succeed(self, bench, tmp_path,
+                                                        monkeypatch):
+        # A second writer's whole put runs between the first writer's write
+        # and its rename (two runs sharing one cache directory).
+        cache = ResultCache(tmp_path)
+        spec = _spec(bench)
+        result = run_cell(spec)
+        real_os_replace, real_path_replace = os.replace, Path.replace
+        interleaved = []
+
+        def second_writer_once():
+            if not interleaved:
+                interleaved.append("second writer")
+                cache.put(spec, result)
+
+        def os_replace(src, dst):
+            second_writer_once()
+            return real_os_replace(src, dst)
+
+        def path_replace(self, target):
+            second_writer_once()
+            return real_path_replace(self, target)
+
+        monkeypatch.setattr(os, "replace", os_replace)
+        monkeypatch.setattr(Path, "replace", path_replace)
+        assert cache.put(spec, result) == cache.path_for(spec.cache_key())
+        assert interleaved
+        assert cache.get(spec).to_dict() == result.to_dict()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_failed_write_leaves_no_temporary(self, bench, tmp_path,
+                                              monkeypatch):
+        cache = ResultCache(tmp_path)
+        spec = _spec(bench)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(spec, run_cell(spec))
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 class TestCellExecutor:

@@ -97,23 +97,41 @@ class TestMain:
         assert "selected algorithm" in capsys.readouterr().out
 
     def test_tune_jobs_and_cache_flags(self, capsys, tmp_path):
-        argv = [
-            "tune", "--nodes", "2", "--cores", "4",
-            "--collectives", "alltoall",
-            "--sizes", "64",
-            "--jobs", "2",
-            "--cache-dir", str(tmp_path / "cache"),
-        ]
-        assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
-        cold_err = capsys.readouterr().err
+        from repro.obs.analysis import TraceAnalysis
+
+        base = ["tune", "--nodes", "2", "--cores", "4",
+                "--collectives", "alltoall", "--sizes", "64"]
+
+        def tune(name, *flags):
+            assert main(base + [*flags, "--out", str(tmp_path / name),
+                                "--trace-out", str(tmp_path / f"{name}.json")]) == 0
+            return (capsys.readouterr().err,
+                    TraceAnalysis.from_file(tmp_path / f"{name}.json"))
+
+        cached = ["--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
+        cold_err, cold = tune("cold", *cached)
         assert "0% hit rate" in cold_err
-        # The warm re-run serves every cell from the cache and is identical.
-        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
-        warm_err = capsys.readouterr().err
+        # Every cell ran in a worker process, so its rank tracks were
+        # shipped home and merged: one per rank.
+        cells = [s for s in cold.spans if s["track"] == "cells"]
+        assert cells
+        assert {s["args"]["provenance"] for s in cells} == {"simulated"}
+        assert len({s["track"] for s in cold.spans
+                    if s["track"].startswith("rank ")}) == 8
+        # The merged --jobs 2 trace equals a serial run's, span for span.
+        _, serial = tune("serial", "--jobs", "1")
+        assert cold.spans == serial.spans
+        assert cold.calls() and cold.calls() == serial.calls()
+        # The warm re-run serves every cell from the cache, replays the
+        # cached telemetry, and writes identical artifacts.
+        warm_err, warm = tune("warm", *cached)
         assert "100% hit rate" in warm_err and "all served from cache" in warm_err
-        cold = (tmp_path / "cold" / "sweeps.json").read_bytes()
-        warm = (tmp_path / "warm" / "sweeps.json").read_bytes()
-        assert cold == warm
+        assert {s["args"]["provenance"] for s in warm.spans
+                if s["track"] == "cells"} == {"cache_replay"}
+        assert warm.calls() == cold.calls()
+        for artifact in ("sweeps.json", "selection_table.json"):
+            assert ((tmp_path / "cold" / artifact).read_bytes()
+                    == (tmp_path / "warm" / artifact).read_bytes())
 
     def test_tune_store_then_query_roundtrip(self, capsys, tmp_path):
         store = tmp_path / "tuning.db"
@@ -219,6 +237,32 @@ class TestMain:
         assert str(bad) in captured.err
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["report", "{missing}"], "missing"),
+        (["report", "{directory}"], "directory"),
+        (["report", "{binary}"], "binary"),
+        (["workload", "replay", "{missing}"], "missing"),
+        (["diff-metrics", "{missing}", "{metrics}"], "missing"),
+        (["diff-metrics", "{metrics}", "{malformed}"], "malformed"),
+        (["lint-store", "{missing}", "--fail-on", "error"], "missing"),
+        (["query", "alltoall", "8", "64", "--store", "{missing}"], "missing"),
+    ], ids=["report-missing", "report-directory", "report-binary",
+            "replay-missing", "diff-metrics-missing", "diff-metrics-malformed",
+            "lint-store-missing", "query-store-missing"])
+    def test_bad_file_argument_is_one_error_line(self, capsys, tmp_path,
+                                                 argv, bad):
+        files = {name: tmp_path / name for name in
+                 ("missing", "directory", "binary", "metrics", "malformed")}
+        files["directory"].mkdir()
+        files["binary"].write_bytes(b"\xff\xfe\x80 not text")
+        files["metrics"].write_text('{"metrics": {}}')
+        files["malformed"].write_text("{not json")
+        assert main([arg.format(**files) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(files[bad]) in err
+        assert not files["missing"].exists()
 
     def test_query_without_a_listener_is_one_error_line(self, capsys):
         import socket

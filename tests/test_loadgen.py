@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from repro.selection import RobustAverageSelector
 from repro.selection.table import SelectionTable
 from repro.service import SelectionService
 from repro.store import TuningStore
+from tests.helpers import BENCHMARKS, load_gate
 
 
 @pytest.fixture
@@ -146,49 +145,47 @@ class TestRunSuite:
                              "reload_churn")
 
 
-def _load_gate():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" \
-        / "check_service_regression.py"
-    spec = importlib.util.spec_from_file_location("check_service", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestRegressionGate:
-    BASE = {"hot_cache": {"qps": 50000.0, "p99_us": 70.0, "errors": 0}}
+    """The service baseline through ``benchmarks/gate.py``."""
+
+    BASE = {"tolerance": 0.4, "entries": {
+        "hot_cache.qps": {"value": 50000.0, "better": "higher"},
+        "hot_cache.p99_us": {"value": 70.0}}}
 
     def test_identical_run_is_clean(self):
-        gate = _load_gate()
-        errors, warnings = gate.compare(self.BASE, self.BASE, 0.4)
-        assert errors == [] and warnings == []
+        gate = load_gate()
+        fresh = {"hot_cache.qps": 50000.0, "hot_cache.p99_us": 70.0}
+        assert gate.check(self.BASE, fresh) == ([], [])
 
     def test_coverage_drift_is_hard_error(self):
-        gate = _load_gate()
-        fresh = dict(self.BASE, extra={"qps": 1.0, "p99_us": 1.0,
-                                       "errors": 0})
-        errors, _ = gate.compare(fresh, self.BASE, 0.4)
+        gate = load_gate()
+        fresh = {"hot_cache.qps": 50000.0, "hot_cache.p99_us": 70.0,
+                 "extra.qps": 1.0}
+        errors, _ = gate.check(self.BASE, fresh)
         assert any("extra" in e for e in errors)
-        errors, _ = gate.compare({}, self.BASE, 0.4)
+        errors, _ = gate.check(self.BASE, {})
         assert any("hot_cache" in e for e in errors)
 
-    def test_query_errors_are_hard_errors(self):
-        gate = _load_gate()
-        fresh = {"hot_cache": {"qps": 50000.0, "p99_us": 70.0, "errors": 3}}
-        errors, _ = gate.compare(fresh, self.BASE, 0.4)
-        assert any("3 query error" in e for e in errors)
+    def test_query_errors_are_hard_errors(self, small_store):
+        # A collective no layer knows: the fixed decision raises for it.
+        config = _config(collectives=("nosuch",))
+        with SelectionService(small_store, watch_store=False) as service:
+            with pytest.raises(RuntimeError, match="200 of 200 queries"):
+                run_workload(service, "hot_cache", config)
 
     def test_perf_drift_only_warns(self):
-        gate = _load_gate()
-        fresh = {"hot_cache": {"qps": 10000.0, "p99_us": 700.0, "errors": 0}}
-        errors, warnings = gate.compare(fresh, self.BASE, 0.4)
+        gate = load_gate()
+        fresh = {"hot_cache.qps": 10000.0, "hot_cache.p99_us": 700.0}
+        errors, warnings = gate.check(self.BASE, fresh)
         assert errors == []
         assert len(warnings) == 2   # QPS drop + p99 rise
         assert all("::warning::" in w for w in warnings)
 
-    def test_committed_baseline_parses_and_covers_all_workloads(self):
-        gate = _load_gate()
-        baseline = gate.load_workloads(gate.BASELINE_PATH)
-        assert set(baseline) == set(WORKLOADS)
-        for row in baseline.values():
-            assert row["errors"] == 0
+    def test_committed_baseline_parses_and_covers_all_workloads(
+            self, small_store, tmp_path):
+        gate = load_gate()
+        baseline = json.loads((BENCHMARKS / "BENCH_service.json").read_text())
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(run_suite(small_store, _config())))
+        errors, _ = gate.check(baseline, gate.load_fresh(fresh))
+        assert errors == []

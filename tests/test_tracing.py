@@ -114,7 +114,12 @@ class TestTraceFiles:
 
     _SPAN = {"span_id": 0, "parent_id": None, "name": "alltoall/bruck",
              "domain": "virtual", "start": 0.0, "end": 1e-6, "args": None}
+    #: Not contents: the path is left missing, or made a directory.
+    MISSING, DIRECTORY = object(), object()
     MALFORMED = {
+        "missing_path": MISSING,
+        "directory": DIRECTORY,
+        "undecodable_bytes": b"\xff\xfe\x80 not text",
         "first_line_not_an_object": "[1, 2, 3]\n",
         "perfetto_event_without_ts": json.dumps({"traceEvents": [
             {"ph": "X", "name": "alltoall/bruck", "cat": "virtual",
@@ -139,7 +144,13 @@ class TestTraceFiles:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_trace_names_the_file(self, tmp_path, case):
         path = tmp_path / f"{case}.json"
-        path.write_text(self.MALFORMED[case])
+        content = self.MALFORMED[case]
+        if content is self.DIRECTORY:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not self.MISSING:
+            path.write_text(content)
         with pytest.raises(TraceFormatError, match=re.escape(str(path))):
             TraceAnalysis.from_file(path).calls()
 
