@@ -114,7 +114,6 @@ class WorkloadResult:
 
     name: str
     queries: int
-    errors: int
     elapsed: float
     latencies: list[float] = field(repr=False, default_factory=list)
     reloads: int = 0
@@ -130,7 +129,6 @@ class WorkloadResult:
         us = 1e6
         return {
             "queries": self.queries,
-            "errors": self.errors,
             "reloads": self.reloads,
             "qps": round(self.qps, 1),
             "p50_us": round(percentile(self.latencies, 0.5) * us, 2),
@@ -230,9 +228,8 @@ def run_workload(service, name: str, config: LoadGenConfig) -> WorkloadResult:
         raise RuntimeError(
             f"workload {name!r}: {errors} of {len(mix)} queries raised; the "
             f"mix is all-valid, so the service misbehaved")
-    result = WorkloadResult(name=name, queries=len(mix), errors=errors,
-                            elapsed=elapsed, latencies=latencies,
-                            reloads=reloads)
+    result = WorkloadResult(name=name, queries=len(mix), elapsed=elapsed,
+                            latencies=latencies, reloads=reloads)
     # Cross-check: the service's own histogram saw every query this
     # workload sent (batch items observe individually — satellite of the
     # batch-latency fix), and its bucketed quantiles should track the
@@ -267,7 +264,7 @@ def run_suite(store, config: LoadGenConfig,
             progress(f"{name}: {result.qps:,.0f} q/s, "
                      f"p50 {rows[name]['p50_us']:.1f} us, "
                      f"p99 {rows[name]['p99_us']:.1f} us, "
-                     f"{result.errors} errors, {result.reloads} reloads")
+                     f"{result.reloads} reloads")
     return {
         "_comment": (
             "Selection-service load-generator run; check it with python "

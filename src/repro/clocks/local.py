@@ -43,6 +43,22 @@ class LocalClock:
         """Invert the (jitter-free) clock model."""
         return (local_time - self.offset) / (1.0 + self.drift)
 
+    @property
+    def jitter_state(self) -> dict | None:
+        """The read-jitter RNG's state (``None`` without an RNG).
+
+        Every jittered :meth:`read` draws one normal, so a run resumed
+        mid-way restores this to read the same values from there on.
+        """
+        return None if self._rng is None else self._rng.bit_generator.state
+
+    @jitter_state.setter
+    def jitter_state(self, state: dict | None) -> None:
+        if (state is None) != (self._rng is None):
+            raise ConfigurationError("jitter state does not match the clock's RNG")
+        if state is not None:
+            self._rng.bit_generator.state = state
+
 
 class ClockSet:
     """A family of per-rank drifting clocks for one simulation job."""

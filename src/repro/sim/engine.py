@@ -1146,6 +1146,54 @@ class Engine:
     # Introspection
     # ------------------------------------------------------------------ #
 
+    def quiet_point(self, running: int,
+                    parked: dict[int, tuple[int, int]]) -> list[float] | None:
+        """Each rank's entry time if the engine is at a quiet point, else ``None``.
+
+        The instant is ``T``, the clock of rank ``running``, whose main fiber
+        is executing.  The engine is quiet there when:
+
+        * nothing is scheduled;
+        * every other rank ``r`` has one fiber, blocked on exactly one
+          receive, on envelope ``parked[r]`` (``(src, tag)``), posted before
+          ``T``;
+        * ``running`` has one fiber and no posted receive, and no rank holds
+          an unmatched message;
+        * every injection and extraction port is free by ``T``.
+
+        From there a run depends only on ``T``, the post times and the
+        ranks' own state.  A fresh engine whose ranks post the same
+        receives at the same times, with ``running`` resuming at ``T``,
+        continues it bit for bit: every later claim is ready at ``T`` or
+        after, so ``max(ready, free)`` does not see the fresh ports, and
+        events after ``T`` are created in the same order, so ``(time,
+        seq)`` ties resolve the same way.  The result lists each rank's post
+        time, ``T`` for ``running``.
+        """
+        main = self.procs[running].main
+        now = main.now
+        if self._heap or self._outstanding or main.blocked or main.done:
+            return None
+        if max(self._tx_free) > now or max(self._rx_free) > now:
+            return None
+        entries = []
+        for proc in self.procs:
+            if len(proc.fibers) != 1 or proc.unexpected:
+                return None
+            if proc.rank == running:
+                if proc.posted:
+                    return None
+                entries.append(now)
+                continue
+            req = proc.posted.get(parked.get(proc.rank))
+            fiber = proc.main
+            if (len(proc.posted) != 1 or type(req) is not Request
+                    or req.post_time >= now or fiber.wait_any
+                    or not fiber.blocked or fiber.waiting != [req]):
+                return None
+            entries.append(req.post_time)
+        return entries
+
     @property
     def events_processed(self) -> int:
         return self._events_processed

@@ -31,6 +31,16 @@ class TestLocalClock:
             LocalClock(offset=0.0, drift=0.0, read_jitter=-1e-9)
 
 
+    def test_jitter_state_round_trip(self):
+        clock = ClockSet(2, seed=4)[1]
+        state = clock.jitter_state
+        first = [clock.read(1.0) for _ in range(3)]
+        clock.jitter_state = state
+        assert [clock.read(1.0) for _ in range(3)] == first
+        with pytest.raises(ConfigurationError):
+            LocalClock(offset=0.0, drift=0.0).jitter_state = state
+
+
 class TestClockSet:
     def test_deterministic(self):
         a = ClockSet(8, seed=1)

@@ -309,3 +309,72 @@ class TestDeterminism:
         assert res1.rank_results == res2.rank_results
         assert res1.final_time == res2.final_time
         assert res1.events_processed == res2.events_processed
+
+
+
+class TestQuietPoint:
+    """``Engine.quiet_point``: the check a resumable run relies on."""
+
+    PLATFORM = Platform("quiet", nodes=1, cores_per_node=3)
+    PARKED = {1: (0, 5), 2: (0, 5)}
+    T = 1e-3
+
+    def _probe(self, before_park, parked=PARKED):
+        """Ranks 1 and 2 run ``before_park(ctx)`` and park on a receive from
+        rank 0; rank 0 probes the engine at ``T``."""
+        seen = []
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield ctx.sleep(self.T)
+                seen.append(ctx.engine.quiet_point(0, parked))
+                for dst in (1, 2):
+                    yield from ctx.send(dst, nbytes=8, tag=5)
+            else:
+                yield from before_park(ctx)
+                yield from ctx.recv(0, tag=5)
+
+        run(self.PLATFORM, prog)
+        return seen[0]
+
+    @staticmethod
+    def _stagger(ctx):
+        yield ctx.sleep(ctx.rank * 1e-4)
+
+    def test_parked_ranks_report_their_post_times(self):
+        assert self._probe(self._stagger) == [self.T, 1e-4, 2e-4]
+
+    def test_wrong_envelope_is_not_quiet(self):
+        assert self._probe(self._stagger, {1: (0, 6), 2: (0, 5)}) is None
+
+    @pytest.mark.parametrize("case", ["message_in_flight", "unmatched_message",
+                                      "extra_receive", "busy_port",
+                                      "second_fiber"])
+    def test_disturbed_engine_is_not_quiet(self, case):
+        eager = 4000  # below the eager threshold; ~3.2 us on the wire
+
+        def nap(ctx):
+            yield ctx.sleep(1e-5)
+
+        def before_park(ctx):
+            if case == "message_in_flight" and ctx.rank == 2:
+                # Off the port before T, delivered one latency later.
+                yield ctx.wait_until(self.T - 0.5e-6)
+                ctx.isend(1, nbytes=8, tag=7)
+            elif case == "unmatched_message" and ctx.rank == 2:
+                yield from ctx.send(1, nbytes=8, tag=7)
+            elif case == "extra_receive" and ctx.rank == 1:
+                ctx.irecv(2, tag=7)
+            elif case == "busy_port":
+                # Delivered just before T into a pre-posted receive nobody
+                # waits on: rank 1's extraction port stays busy past T.
+                if ctx.rank == 1:
+                    ctx.irecv(2, tag=7)
+                else:
+                    yield ctx.wait_until(self.T - 5e-6)
+                    ctx.isend(1, nbytes=eager, tag=7)
+            elif case == "second_fiber" and ctx.rank == 1:
+                yield ctx.waitall(ctx.start_fiber(nap))
+            yield ctx.sleep(0.0)
+
+        assert self._probe(before_park) is None
