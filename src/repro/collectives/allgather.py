@@ -64,9 +64,8 @@ def allgather_bruck(ctx, args, data):
         dst = (me - pow2) % p
         src = (me + pow2) % p
         ship = min(have, p - have)
-        sreq = ctx.isend(dst, args.msg_bytes * ship, args.tag, payload=staged[:ship].copy())
-        rreq = ctx.irecv(src, args.tag)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(dst, src, args.msg_bytes * ship, args.tag,
+                                  staged[:ship])
         staged[have : have + ship] = rreq.payload
         have += ship
     for j in range(p):
@@ -86,10 +85,8 @@ def allgather_recursive_doubling(ctx, args, data):
     while mask < p:
         partner = me ^ mask
         block_lo = (me // mask) * mask
-        rows = out[block_lo : block_lo + mask].copy()
-        sreq = ctx.isend(partner, args.msg_bytes * mask, args.tag, payload=rows)
-        rreq = ctx.irecv(partner, args.tag)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(partner, partner, args.msg_bytes * mask,
+                                  args.tag, out[block_lo : block_lo + mask])
         other_lo = (partner // mask) * mask
         out[other_lo : other_lo + mask] = rreq.payload
         mask <<= 1
@@ -107,9 +104,8 @@ def allgather_ring(ctx, args, data):
     for step in range(p - 1):
         send_i = (me - step) % p
         recv_i = (me - step - 1) % p
-        sreq = ctx.isend(right, args.msg_bytes, args.tag, payload=out[send_i])
-        rreq = ctx.irecv(left, args.tag)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(right, left, args.msg_bytes, args.tag,
+                                  out[send_i])
         out[recv_i] = rreq.payload
     return out
 
@@ -142,17 +138,17 @@ def allgather_neighbor_exchange(ctx, args, data):
         recv_from = [(me - 1) % p, (me - 1) % p]
         offset_at = [-2, +2]
     # Step 0: exchange own blocks with neighbor[0].
-    rreq = yield from ctx.sendrecv(neighbor[0], neighbor[0], args.msg_bytes, payload=out[me])
+    rreq = yield ctx.sendrecv(neighbor[0], neighbor[0], args.msg_bytes,
+                              args.tag, out[me])
     out[neighbor[0]] = rreq.payload
     send_from = me if even else recv_from[0]
     for i in range(1, p // 2):
         parity = i % 2
         recv_from[parity] = (recv_from[parity] + offset_at[parity]) % p
         lo = recv_from[parity]
-        payload = out[send_from : send_from + 2].copy()
-        rreq = yield from ctx.sendrecv(
-            neighbor[parity], neighbor[parity], 2 * args.msg_bytes, payload=payload
-        )
+        rreq = yield ctx.sendrecv(neighbor[parity], neighbor[parity],
+                                  2 * args.msg_bytes, args.tag,
+                                  out[send_from : send_from + 2])
         arrived = np.asarray(rreq.payload)
         out[lo] = arrived[0]
         out[lo + 1] = arrived[1]

@@ -73,9 +73,8 @@ def allreduce_recursive_doubling(ctx, args, data):
         while mask < pof2:
             partner_nr = newrank ^ mask
             partner = partner_nr * 2 + 1 if partner_nr < rem else partner_nr + rem
-            sreq = ctx.isend(partner, args.msg_bytes, args.tag, payload=own)
-            rreq = ctx.irecv(partner, args.tag)
-            yield ctx.waitall(sreq, rreq)
+            rreq = yield ctx.sendrecv(partner, partner, args.msg_bytes,
+                                      args.tag, own)
             own = args.op(own, np.asarray(rreq.payload))
             mask <<= 1
 
@@ -97,31 +96,24 @@ def _ring_exchange(ctx, args, own, bounds, tag):
     p, me = ctx.size, ctx.rank
     right = (me + 1) % p
     left = (me - 1) % p
-
-    def blk(i: int) -> slice:
-        i %= p
-        return slice(int(bounds[i]), int(bounds[i + 1]))
-
-    def blen(i: int) -> int:
-        i %= p
-        return int(bounds[i + 1] - bounds[i])
+    edges = [int(b) for b in bounds]
+    blk = [slice(edges[i], edges[i + 1]) for i in range(p)]
+    nbytes = [args.bytes_for(edges[i + 1] - edges[i]) for i in range(p)]
+    op = args.op
 
     # Reduce-scatter: after p-1 steps rank me owns reduced block (me+1) % p.
     for step in range(p - 1):
         send_i = (me - step) % p
-        recv_i = (me - step - 1) % p
-        sreq = ctx.isend(right, args.bytes_for(blen(send_i)), tag, payload=own[blk(send_i)])
-        rreq = ctx.irecv(left, tag)
-        yield ctx.waitall(sreq, rreq)
-        own[blk(recv_i)] = args.op(own[blk(recv_i)], np.asarray(rreq.payload))
+        recv = blk[(me - step - 1) % p]
+        rreq = yield ctx.sendrecv(right, left, nbytes[send_i], tag,
+                                  own[blk[send_i]])
+        own[recv] = op(own[recv], np.asarray(rreq.payload))
     # Allgather: circulate the reduced blocks.
     for step in range(p - 1):
         send_i = (me + 1 - step) % p
-        recv_i = (me - step) % p
-        sreq = ctx.isend(right, args.bytes_for(blen(send_i)), tag, payload=own[blk(send_i)])
-        rreq = ctx.irecv(left, tag)
-        yield ctx.waitall(sreq, rreq)
-        own[blk(recv_i)] = np.asarray(rreq.payload)
+        rreq = yield ctx.sendrecv(right, left, nbytes[send_i], tag,
+                                  own[blk[send_i]])
+        own[blk[(me - step) % p]] = np.asarray(rreq.payload)
     return own
 
 
@@ -226,9 +218,9 @@ def allreduce_rabenseifner(ctx, args, data):
             send_lo, send_hi = (mid, hi) if in_low else (lo, mid)
             s0, s1 = int(bounds[send_lo]), int(bounds[send_hi])
             k0, k1 = int(bounds[keep_lo]), int(bounds[keep_hi])
-            sreq = ctx.isend(real(partner), args.bytes_for(s1 - s0), args.tag, payload=own[s0:s1])
-            rreq = ctx.irecv(real(partner), args.tag)
-            yield ctx.waitall(sreq, rreq)
+            peer = real(partner)
+            rreq = yield ctx.sendrecv(peer, peer, args.bytes_for(s1 - s0),
+                                      args.tag, own[s0:s1])
             own[k0:k1] = args.op(own[k0:k1], np.asarray(rreq.payload))
             lo, hi = keep_lo, keep_hi
         # Recursive-doubling allgather, mirroring the halving in reverse.
@@ -243,9 +235,9 @@ def allreduce_rabenseifner(ctx, args, data):
                 other_lo = block_lo - span
             s0, s1 = int(bounds[block_lo]), int(bounds[block_lo + span])
             o0, o1 = int(bounds[other_lo]), int(bounds[other_lo + span])
-            sreq = ctx.isend(real(partner), args.bytes_for(s1 - s0), args.tag, payload=own[s0:s1])
-            rreq = ctx.irecv(real(partner), args.tag)
-            yield ctx.waitall(sreq, rreq)
+            peer = real(partner)
+            rreq = yield ctx.sendrecv(peer, peer, args.bytes_for(s1 - s0),
+                                      args.tag, own[s0:s1])
             own[o0:o1] = np.asarray(rreq.payload)
             span *= 2
 

@@ -53,9 +53,7 @@ def alltoall_pairwise(ctx, args, data):
     for step in range(1, p):
         dst = (me + step) % p
         src = (me - step) % p
-        sreq = ctx.isend(dst, args.msg_bytes, args.tag, payload=send[dst])
-        rreq = ctx.irecv(src, args.tag)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(dst, src, args.msg_bytes, args.tag, send[dst])
         out[src] = rreq.payload
     return out
 
@@ -89,10 +87,8 @@ def alltoall_bruck(ctx, args, data):
         idx = [j for j in range(p) if j & pow2]
         dst = (me + pow2) % p
         src = (me - pow2) % p
-        payload = staged[idx].copy()
-        sreq = ctx.isend(dst, args.msg_bytes * len(idx), args.tag, payload=payload)
-        rreq = ctx.irecv(src, args.tag)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(dst, src, args.msg_bytes * len(idx), args.tag,
+                                  staged[idx])
         staged[idx] = rreq.payload
     # Phase 3 — inverse rotation.
     for j in range(1, p):

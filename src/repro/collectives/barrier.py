@@ -17,7 +17,7 @@ from repro.collectives.base import (
     phase_descriptor,
     register,
 )
-from repro.sim.mpi import ProcContext
+from repro.sim.mpi import ProcContext, dissemination_barrier
 
 _B = 1  # modeled bytes of a barrier token
 
@@ -79,7 +79,7 @@ def barrier_recursive_doubling(ctx, args, data=None):
         while mask < pof2:
             partner_nr = newrank ^ mask
             partner = partner_nr * 2 + 1 if partner_nr < rem else partner_nr + rem
-            yield from ctx.sendrecv(partner, partner, _B, tag=args.tag + 1)
+            yield ctx.sendrecv(partner, partner, _B, args.tag + 1)
             mask <<= 1
     if me < 2 * rem:
         if me % 2 == 0:
@@ -92,15 +92,7 @@ def barrier_recursive_doubling(ctx, args, data=None):
 @register("barrier", "bruck", ompi_id=4, aliases=("dissemination",),
           description="ceil(log2 p) dissemination rounds with ring-offset partners.")
 def barrier_bruck(ctx, args, data=None):
-    p, me = ctx.size, ctx.rank
-    distance = 1
-    round_no = 0
-    while distance < p:
-        dst = (me + distance) % p
-        src = (me - distance) % p
-        yield from ctx.sendrecv(dst, src, _B, tag=args.tag + round_no)
-        distance <<= 1
-        round_no += 1
+    yield from dissemination_barrier(ctx, args.tag)
     return None
 
 

@@ -177,10 +177,8 @@ def bcast_split_binary(ctx, args, data):
         olo, ohi = spans[1 - my_side]
         if idx < len(other):
             partner = rrank(other[idx], p, args.root)
-            rreq = yield from ctx.sendrecv(
-                partner, partner, args.bytes_for(hi - lo), tag=args.tag + 1,
-                payload=buf[lo:hi],
-            )
+            rreq = yield ctx.sendrecv(partner, partner, args.bytes_for(hi - lo),
+                                      args.tag + 1, buf[lo:hi])
             buf[olo:ohi] = rreq.payload
         else:
             # No opposite partner: the root supplies the missing half.
@@ -274,8 +272,7 @@ def bcast_scatter_allgather(ctx, args, data):
         recv_block = (v - step - 1) % p
         slo, shi = span(send_block, send_block + 1)
         rlo, rhi = span(recv_block, recv_block + 1)
-        sreq = ctx.isend(right, args.bytes_for(shi - slo), args.tag + 1, payload=buf[slo:shi])
-        rreq = ctx.irecv(left, args.tag + 1)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(right, left, args.bytes_for(shi - slo),
+                                  args.tag + 1, buf[slo:shi])
         buf[rlo:rhi] = rreq.payload
     return buf

@@ -219,9 +219,9 @@ def reduce_rabenseifner(ctx, args, data):
             send_lo, send_hi = (mid, hi) if in_low else (lo, mid)
             s0, s1 = int(bounds[send_lo]), int(bounds[send_hi])
             k0, k1 = int(bounds[keep_lo]), int(bounds[keep_hi])
-            sreq = ctx.isend(real(partner), args.bytes_for(s1 - s0), args.tag, payload=own[s0:s1])
-            rreq = ctx.irecv(real(partner), args.tag)
-            yield ctx.waitall(sreq, rreq)
+            peer = real(partner)
+            rreq = yield ctx.sendrecv(peer, peer, args.bytes_for(s1 - s0),
+                                      args.tag, own[s0:s1])
             own[k0:k1] = args.op(own[k0:k1], np.asarray(rreq.payload))
             lo, hi = keep_lo, keep_hi
         # Survivor ``newrank`` now owns the reduced block ``newrank``.

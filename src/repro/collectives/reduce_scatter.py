@@ -37,9 +37,7 @@ def reduce_scatter_pairwise(ctx, args, data):
         dst = (me + step) % p
         src = (me - step) % p
         block = arr[dst * args.count : (dst + 1) * args.count]
-        sreq = ctx.isend(dst, args.msg_bytes, args.tag, payload=block)
-        rreq = ctx.irecv(src, args.tag)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(dst, src, args.msg_bytes, args.tag, block)
         acc = args.op(acc, np.asarray(rreq.payload))
     return acc
 
@@ -92,9 +90,8 @@ def reduce_scatter_recursive_halving(ctx, args, data):
             keep_items = rng(keep_lo, keep_hi)
             payload = np.concatenate([arr[a:b] for a, b in send_items])
             nbytes = args.msg_bytes * sum((b - a) for a, b in send_items) / args.count
-            sreq = ctx.isend(real(partner), nbytes, args.tag, payload=payload)
-            rreq = ctx.irecv(real(partner), args.tag)
-            yield ctx.waitall(sreq, rreq)
+            peer = real(partner)
+            rreq = yield ctx.sendrecv(peer, peer, nbytes, args.tag, payload)
             arrived = np.asarray(rreq.payload)
             offset = 0
             for a, b in keep_items:

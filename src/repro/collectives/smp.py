@@ -91,9 +91,8 @@ def allreduce_smp(ctx, args, data):
         mask = 1
         while mask < pof2:
             partner = real(newidx ^ mask)
-            sreq = ctx.isend(partner, args.msg_bytes, args.tag + 1, payload=acc)
-            rreq = ctx.irecv(partner, args.tag + 1)
-            yield ctx.waitall(sreq, rreq)
+            rreq = yield ctx.sendrecv(partner, partner, args.msg_bytes,
+                                      args.tag + 1, acc)
             acc = args.op(acc, np.asarray(rreq.payload))
             mask <<= 1
     if idx < 2 * rem:

@@ -209,10 +209,8 @@ def allgatherv_ring(ctx, args: VectorArgs, data):
     for step in range(p - 1):
         send_i = (me - step) % p
         recv_i = (me - step - 1) % p
-        sreq = ctx.isend(right, args.bytes_for(counts[send_i]), args.tag,
-                         payload=out[send_i])
-        rreq = ctx.irecv(left, args.tag)
-        yield ctx.waitall(sreq, rreq)
+        rreq = yield ctx.sendrecv(right, left, args.bytes_for(counts[send_i]),
+                                  args.tag, out[send_i])
         out[recv_i] = (
             np.asarray(rreq.payload) if rreq.payload is not None
             else np.empty(0, dtype=own.dtype)

@@ -15,7 +15,10 @@ clock.  A generator yields one of three blocking conditions:
     resume when every :class:`Request` in the list has completed,
 ``("wait_any", [requests])``
     resume when at least one request has completed; the resume value is the
-    index of the earliest-completing request.
+    index of the earliest-completing request,
+``("sendrecv", dst, src, nbytes, tag, payload)``
+    post a send to ``dst`` and a receive from ``src`` and block on both, in
+    one engine step; the resume value is the receive request.
 
 Messaging follows a LogGP-flavoured cost model (see
 :class:`repro.sim.network.NetworkModel`):
@@ -67,7 +70,14 @@ fitting in cache and every pointer chase slows down):
   wildcard receive is actually live (``_Proc.wild_posted``).
 * Wait completion is countdown-based: each pending request carries
   back-pointers to its waiting fibers, so completing one request is O(1)
-  instead of re-scanning the fiber's whole request list.
+  instead of re-scanning the fiber's whole request list.  A ``wait_any``
+  replaces the fiber's stale back-pointer on each request instead of
+  stacking a new one next to it.
+* The paired exchange round of most collectives (post a send, post a
+  receive, wait for both) is one ``sendrecv`` condition: the engine posts
+  and blocks in one step, without the generator-side request plumbing.
+* A send request records its link class when posted; every later claim and
+  latency lookup for that message reads it.
 * Heap entries are plain ``(time, seq, kind, a, b)`` tuples dispatched by
   an integer jump in :meth:`Engine.run` — no per-event closure allocation.
 * The send :class:`Request` doubles as the wire message (no separate
@@ -229,6 +239,7 @@ class Request:
     fiber blocks on this request — a bare entry tuple for the common single
     waiter, a list of entries otherwise.  Completion wakes exactly those
     fibers (countdown waits) instead of re-scanning their request lists.
+    ``cls`` is a send's link class, fixed when it is posted.
     """
 
     __slots__ = (
@@ -246,6 +257,7 @@ class Request:
         "eager",
         "arrival",
         "activity",
+        "cls",
     )
 
     def __init__(self, kind: int, owner: int, peer: int, tag: int, nbytes: int) -> None:
@@ -266,6 +278,8 @@ class Request:
         self.waiters: Any = None
         self.eager = True
         self.arrival = 0.0
+        # Link class of owner -> peer (send requests; see NetworkModel.link_class).
+        self.cls = 0
 
     @property
     def done(self) -> bool:
@@ -293,7 +307,7 @@ class _Fiber:
     ``(self, epoch)`` with each pending request; ``wait_pending`` counts the
     outstanding registrations and ``wait_deadline`` tracks the running max
     of their completion times, so the final completion resumes the fiber
-    without re-scanning ``waiting``.
+    without re-scanning ``waiting``, sending it ``wait_value``.
     """
 
     __slots__ = (
@@ -313,6 +327,7 @@ class _Fiber:
         "wait_epoch",
         "wait_pending",
         "wait_deadline",
+        "wait_value",
         "activity",
     )
 
@@ -338,6 +353,9 @@ class _Fiber:
         self.wait_epoch = 0
         self.wait_pending = 0
         self.wait_deadline = 0.0
+        # Resume value of the current wait (the receive request of a blocked
+        # sendrecv, else None); cleared when the wait completes.
+        self.wait_value: Any = None
         # Activity label this fiber is currently inside (None = raw p2p);
         # restored into ``engine.activity`` on every resume so interleaved
         # fibers (multi-job runs) do not blur each other's link attribution.
@@ -658,13 +676,28 @@ class Engine:
             raise ProtocolError(
                 f"process {fiber.rank} yielded invalid condition {condition!r}"
             ) from None
-        if kind == "wait" or kind == "wait_any":
+        if kind == "sendrecv":
+            # One paired exchange round, run exactly as isend, irecv and
+            # waitall(sreq, rreq) would: same sequence numbers, port claims
+            # and timestamps.
+            _, dst, src, nbytes, tag, payload = condition
+            rank = fiber.owner
+            sreq = self.post_isend(rank, dst, nbytes, tag, payload, fiber=fiber)
+            rreq = self.post_irecv(rank, src, tag, fiber=fiber)
+            if self._block(fiber, [sreq, rreq], any_mode=False):
+                fiber.wait_value = rreq
+            else:
+                resume_at = fiber.wait_deadline
+                fiber.now = resume_at
+                self._schedule(resume_at, _EV_RESUME, fiber, rreq)
+        elif kind == "wait" or kind == "wait_any":
             requests: list[Request] = condition[1]
             any_mode = kind == "wait_any"
+            rank = fiber.owner
             for req in requests:
-                if req.kind == _RECV and req.owner != fiber.rank:
+                if req.kind == _RECV and req.owner != rank:
                     raise ProtocolError(
-                        f"process {fiber.rank} waiting on foreign recv of rank {req.owner}"
+                        f"process {rank} waiting on foreign recv of rank {req.owner}"
                     )
             if any_mode:
                 done_times = [
@@ -704,6 +737,11 @@ class Engine:
             fiber.waiting = None
             fiber.wait_any = False
             condition[1].arrive(fiber)
+        elif condition == "sendrecv":
+            raise ProtocolError(
+                f"process {fiber.rank} ran `yield from ctx.sendrecv(...)`; "
+                "sendrecv is a blocking condition: `rreq = yield ctx.sendrecv(...)`"
+            )
         else:
             raise ProtocolError(
                 f"process {fiber.rank} yielded unknown condition {condition!r}"
@@ -718,16 +756,23 @@ class Engine:
         A request listed twice registers twice *and* counts twice, so the
         countdown stays consistent for duplicates.
         """
-        fiber.wait_epoch += 1
-        entry = (fiber, fiber.wait_epoch)
+        fiber.wait_epoch = epoch = fiber.wait_epoch + 1
+        entry = (fiber, epoch)
         if any_mode:
-            # Caller guarantees no request is complete yet.
+            # Caller guarantees no request is complete yet.  A request still
+            # pending from an earlier wait of this fiber holds a stale entry
+            # for it: drop that entry and append the fresh one, so entries
+            # do not pile up and live entries keep their wake order.
             for r in requests:
                 w = r.waiters
                 if w is None:
                     r.waiters = entry
                 elif type(w) is list:
+                    w = [e for e in w if e[0] is not fiber or e[1] == epoch]
                     w.append(entry)
+                    r.waiters = w
+                elif w[0] is fiber and w[1] != epoch:
+                    r.waiters = entry
                 else:
                     r.waiters = [w, entry]
             fiber.waiting = requests
@@ -788,7 +833,10 @@ class Engine:
                 fiber.waiting = None
                 fiber.blocked = False
                 fiber.now = resume_at
-                self._schedule(resume_at, _EV_RESUME, fiber, None)
+                value = fiber.wait_value
+                if value is not None:
+                    fiber.wait_value = None
+                self._schedule(resume_at, _EV_RESUME, fiber, value)
         else:
             for fiber, epoch in w:
                 self._wake(fiber, epoch, req)
@@ -817,10 +865,12 @@ class Engine:
             fiber.wait_pending -= 1
             if fiber.wait_pending == 0:
                 resume_at = fiber.wait_deadline
+                value = fiber.wait_value
+                fiber.wait_value = None
                 fiber.waiting = None
                 fiber.blocked = False
                 fiber.now = resume_at
-                self._schedule(resume_at, _EV_RESUME, fiber, None)
+                self._schedule(resume_at, _EV_RESUME, fiber, value)
 
     # ------------------------------------------------------------------ #
     # Point-to-point messaging
@@ -861,20 +911,23 @@ class Engine:
         req.post_time = fib.now
         req.activity = self.activity
         fib.now += net.send_overhead
+        # Inlined NetworkModel.link_class, recorded on the request for every
+        # later claim and latency lookup of this message.
+        node_of = self._node_of
+        src_node = node_of[src]
+        if src == dst:
+            cls = 0
+        elif src_node == node_of[dst]:
+            cls = 1
+        else:
+            group_of = self._group_of
+            cls = 2 if group_of[src] == group_of[dst] else 3
+        req.cls = cls
         if nbytes <= net.eager_max and not sync:
             # Inlined _claim of the injection port: this is the exact
             # engine's hottest path, where each method call shows.  The
             # delivery chain key packs the port index and the link class
             # into one int (no tuple per send).
-            node_of = self._node_of
-            src_node = node_of[src]
-            if src == dst:
-                cls = 0
-            elif src_node == node_of[dst]:
-                cls = 1
-            else:
-                group_of = self._group_of
-                cls = 2 if group_of[src] == group_of[dst] else 3
             port = (self.num_procs + src_node
                     if cls > 1 and net.shared_node_nic else src)
             free = self._tx_free
@@ -895,7 +948,7 @@ class Engine:
                              self.activity)
         else:
             # Rendezvous: the RTS travels now; data moves once matched.
-            lat = net.latency(src, dst)
+            lat = net.lat_of[cls]
             req.eager = False
             req.complete_time = None
             req.arrival = arrival = fib.now + lat
@@ -1059,8 +1112,7 @@ class Engine:
             ready = recv_req.post_time
             if msg.arrival > ready:
                 ready = msg.arrival
-            ready = self._claim(self._rx_free, RX, msg.owner, msg.peer, ready,
-                                msg.nbytes, msg.activity)
+            ready = self._claim(self._rx_free, RX, msg, ready)
             recv_req.complete_time = ready
             recv_req.payload = msg.payload
             recv_req.source_rank = msg.owner
@@ -1073,57 +1125,58 @@ class Engine:
 
     def _complete_match(self, recv_req: Request, msg: Request) -> None:
         """A send and a receive have met; finish the transfer."""
-        ready = max(recv_req.post_time, msg.arrival)
+        ready = recv_req.post_time
+        if msg.arrival > ready:
+            ready = msg.arrival
         if msg.eager:
             self._finish_recv(recv_req, msg, ready)
             return
         # Rendezvous handshake: CTS back to the sender, then the data.  The
         # data deliveries of one sender and latency arrive in claim order,
         # so they share one event chain.
-        src, dst = msg.owner, msg.peer
-        lat = self.network.latency(src, dst)
-        tx_end = self._claim(self._tx_free, TX, src, dst, ready + lat,
-                             msg.nbytes, msg.activity)
+        src = msg.owner
+        lat = self.network.lat_of[msg.cls]
+        tx_end = self._claim(self._tx_free, TX, msg, ready + lat)
         msg.complete_time = tx_end
         self._notify_waiters(msg)
         self._schedule_chained((src, lat), tx_end + lat, _EV_RNDV, msg,
                                recv_req)
 
-    def _claim(self, free: list[float], direction: int, src: int, dst: int,
-               ready: float, nbytes: float, activity: str | None) -> float:
-        """Claim FIFO port time for one ``src -> dst`` message; return its end.
+    def _claim(self, free: list[float], direction: int, msg: Request,
+               ready: float) -> float:
+        """Claim FIFO port time for the send ``msg``; return the claim's end.
 
         ``free`` is :attr:`_tx_free` (``direction`` :data:`TX`, the sender's
         side) or :attr:`_rx_free` (:data:`RX`, the receiver's side).  The
         port is the side owner's node NIC for inter-node traffic under
         shared-NIC modelling and the owner's private port otherwise; the
         claim starts at ``max(ready, free[port])`` and holds the port for
-        ``nbytes`` at the link class's bandwidth.  Without rx serialization
-        an extraction claim is a no-op that returns ``ready``.
+        ``msg.nbytes`` at the bandwidth of ``msg.cls``.  Without rx
+        serialization an extraction claim is a no-op that returns ``ready``.
         """
         net = self.network
         if direction == RX and not net.rx_serialization:
             return ready
-        cls = net.link_class(src, dst)
-        owner = dst if direction == RX else src
+        cls = msg.cls
+        owner = msg.peer if direction == RX else msg.owner
         port = (self.num_procs + self._node_of[owner]
                 if cls > 1 and net.shared_node_nic else owner)
         start = free[port]
         if ready > start:
             start = ready
+        nbytes = msg.nbytes
         free[port] = end = start + nbytes * net.inv_bw_of[cls]
         links = self._obs_link
         if links is not None and cls:
             links.record(self._link_port[port], cls, direction,
-                         start, end, nbytes, start - ready, activity)
+                         start, end, nbytes, start - ready, msg.activity)
         return end
 
     def _finish_recv(self, recv_req: Request, msg: Request,
                      ready: float) -> None:
         """Serialize ``msg`` through the receiver's extraction port, then
         complete ``recv_req``."""
-        when = self._claim(self._rx_free, RX, msg.owner, msg.peer, ready,
-                           msg.nbytes, msg.activity)
+        when = self._claim(self._rx_free, RX, msg, ready)
         recv_req.complete_time = when
         recv_req.payload = msg.payload
         recv_req.source_rank = msg.owner

@@ -4,7 +4,9 @@ A simulated MPI program is a Python *generator function* taking a
 :class:`ProcContext` and yielding blocking conditions (produced by the
 context's methods).  Blocking convenience wrappers (``send``, ``recv``,
 ``barrier``) are sub-generators used with ``yield from``; they return their
-result via the generator return value::
+result via the generator return value.  ``sendrecv`` is itself a blocking
+condition, which the engine runs in one step: plain ``yield``, and the
+resume value is the receive request::
 
     def program(ctx: ProcContext):
         if ctx.rank == 0:
@@ -12,6 +14,8 @@ result via the generator return value::
         else:
             req = yield from ctx.recv(0)
             print(req.payload)
+        peer = ctx.rank ^ 1
+        rreq = yield ctx.sendrecv(peer, peer, nbytes=8)
         yield from ctx.barrier()
 
     result = run_processes(platform, program)
@@ -41,6 +45,25 @@ TAG_BARRIER = 1_000
 TAG_COLLECTIVE = 10_000
 TAG_CLOCK = 2_000
 TAG_TRACE = 3_000
+
+
+def _request_list(items: tuple, caller: str) -> list:
+    """The requests (or fiber handles) of a wait, one level flattened.
+
+    A single non-empty list is passed through as is: the engine holds it
+    only while the rank is blocked, and the caller does not touch it then.
+    """
+    if len(items) == 1 and type(items[0]) is list and items[0]:
+        return items[0]
+    flat: list[Request] = []
+    for item in items:
+        if isinstance(item, Request) or not hasattr(item, "__iter__"):
+            flat.append(item)  # request or fiber handle
+        else:
+            flat.extend(item)
+    if not flat:
+        raise ProtocolError(f"{caller} with no requests")
+    return flat
 
 
 class ProcContext:
@@ -136,15 +159,7 @@ class ProcContext:
 
     def waitall(self, *requests: Request | Iterable[Request]) -> tuple:
         """Blocking condition: wait for every given request (or fiber handle)."""
-        flat: list[Request] = []
-        for item in requests:
-            if isinstance(item, Request) or not hasattr(item, "__iter__"):
-                flat.append(item)  # request or fiber handle
-            else:
-                flat.extend(item)
-        if not flat:
-            raise ProtocolError("waitall with no requests")
-        return ("wait", flat)
+        return ("wait", _request_list(requests, "waitall"))
 
     wait = waitall
 
@@ -156,15 +171,7 @@ class ProcContext:
 
             index = yield ctx.waitany(reqs)
         """
-        flat: list[Request] = []
-        for item in requests:
-            if isinstance(item, Request) or not hasattr(item, "__iter__"):
-                flat.append(item)  # request or fiber handle
-            else:
-                flat.extend(item)
-        if not flat:
-            raise ProtocolError("waitany with no requests")
-        return ("wait_any", flat)
+        return ("wait_any", _request_list(requests, "waitany"))
 
     # -- point-to-point, blocking helpers -------------------------------- #
 
@@ -187,35 +194,49 @@ class ProcContext:
         dst: int,
         src: int,
         nbytes: int,
-        recv_nbytes: int | None = None,
         tag: int = TAG_P2P,
         payload: Any = None,
-    ) -> Generator[tuple, None, Request]:
-        """Simultaneous send+recv; returns the receive request."""
-        sreq = self.isend(dst, nbytes, tag, payload)
-        rreq = self.irecv(src, tag, recv_nbytes if recv_nbytes is not None else nbytes)
-        yield self.waitall(sreq, rreq)
-        return rreq
+    ) -> tuple:
+        """Blocking condition: send to ``dst`` and receive from ``src``.
+
+        ``rreq = yield ctx.sendrecv(...)`` resumes with the receive request
+        once both operations have completed.  The engine posts the send,
+        posts the receive and blocks on both in one step, exactly as
+        ``isend``, ``irecv`` and ``yield waitall(sreq, rreq)`` would; the
+        ndarray payload is snapshotted here, as by :meth:`isend`.
+        ``yield from ctx.sendrecv(...)`` raises :class:`ProtocolError`.
+        """
+        if isinstance(payload, np.ndarray):
+            payload = payload.copy()
+        return ("sendrecv", dst, src, nbytes, tag, payload)
 
     # -- built-in dissemination barrier ---------------------------------- #
 
     def barrier(self, tag: int = TAG_BARRIER) -> Generator[tuple, None, None]:
-        """Dissemination barrier over all ranks (log2(p) rounds).
+        """Dissemination barrier over all ranks (see :func:`dissemination_barrier`).
 
         This is the harness-internal barrier; the full set of MPI barrier
         *algorithms* lives in :mod:`repro.collectives.barrier`.
         """
-        p, me = self.size, self.rank
-        if p == 1:
-            return
-        distance = 1
-        round_no = 0
-        while distance < p:
-            dst = (me + distance) % p
-            src = (me - distance) % p
-            yield from self.sendrecv(dst, src, nbytes=1, tag=tag + round_no)
-            distance *= 2
-            round_no += 1
+        return dissemination_barrier(self, tag)
+
+
+def dissemination_barrier(ctx, tag: int = TAG_BARRIER) -> Generator[tuple, None, None]:
+    """Dissemination barrier over ``ctx``'s ranks: ceil(log2 p) rounds.
+
+    Round ``k`` sends a one-byte token to rank ``me + 2^k`` and receives
+    one from ``me - 2^k`` on tag ``tag + k``.  ``ctx`` is anything with
+    ``rank``, ``size`` and :meth:`ProcContext.sendrecv` (a job-local
+    ``GroupContext`` included).
+    """
+    p, me = ctx.size, ctx.rank
+    distance = 1
+    round_no = 0
+    while distance < p:
+        yield ctx.sendrecv((me + distance) % p, (me - distance) % p, 1,
+                           tag + round_no)
+        distance <<= 1
+        round_no += 1
 
 
 @dataclass
@@ -299,6 +320,7 @@ __all__ = [
     "ProcContext",
     "RunResult",
     "build_engine",
+    "dissemination_barrier",
     "run_processes",
     "TAG_P2P",
     "TAG_BARRIER",

@@ -15,7 +15,8 @@ three components applied to each compute phase of ``w`` seconds:
 
 All draws come from per-rank :class:`numpy.random.Generator` streams derived
 from one seed, so simulations are reproducible and adding ranks does not
-perturb existing streams.
+perturb existing streams.  A rank's stream is built on its first draw: most
+micro-benchmark cells never compute, so they never pay for one.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class NoiseModel:
         self.profile = profile
         self.num_ranks = num_ranks
         self.seed = seed
-        self._rngs = [spawn_rng(seed, "noise", rank) for rank in range(num_ranks)]
+        # Per-rank streams, each built on the rank's first perturb.
+        self._rngs: list[np.random.Generator | None] = [None] * num_ranks
         if profile.speed_sigma > 0:
             factor_rng = spawn_rng(seed, "noise-speed")
             self._speed = np.exp(
@@ -116,6 +118,8 @@ class NoiseModel:
         profile = self.profile
         duration = seconds * self._speed[rank]
         rng = self._rngs[rank]
+        if rng is None:
+            rng = self._rngs[rank] = spawn_rng(self.seed, "noise", rank)
         if profile.jitter_sigma > 0:
             duration *= float(np.exp(rng.normal(0.0, profile.jitter_sigma)))
         if profile.spike_probability > 0 and rng.random() < profile.spike_probability:

@@ -28,7 +28,7 @@ from repro.bench.micro import MicroBenchmark
 from repro.obs.analysis import TraceAnalysis
 from repro.obs.context import current as _obs_current
 from repro.selection.table import SelectionTable
-from repro.sim.mpi import TAG_BARRIER, TAG_P2P, run_processes
+from repro.sim.mpi import TAG_BARRIER, TAG_P2P, dissemination_barrier, run_processes
 from repro.workloads.runner import resolve_algorithm
 from repro.workloads.spec import WorkloadSpec, build_plan, iteration_body
 
@@ -119,28 +119,13 @@ class GroupContext:
         yield self.waitall(req)
         return req
 
-    def sendrecv(self, dst: int, src: int, nbytes: int,
-                 recv_nbytes: int | None = None, tag: int = TAG_P2P,
-                 payload=None):
-        sreq = self.isend(dst, nbytes, tag, payload)
-        rreq = self.irecv(src, tag,
-                          recv_nbytes if recv_nbytes is not None else nbytes)
-        yield self.waitall(sreq, rreq)
-        return rreq
+    def sendrecv(self, dst: int, src: int, nbytes: int, tag: int = TAG_P2P,
+                 payload=None) -> tuple:
+        return self._ctx.sendrecv(self._global(dst), self._global(src), nbytes, tag, payload)
 
     def barrier(self, tag: int = TAG_BARRIER):
         """Dissemination barrier over the *group's* ranks."""
-        p, me = self.size, self.rank
-        if p == 1:
-            return
-        distance = 1
-        round_no = 0
-        while distance < p:
-            dst = (me + distance) % p
-            src = (me - distance) % p
-            yield from self.sendrecv(dst, src, nbytes=1, tag=tag + round_no)
-            distance *= 2
-            round_no += 1
+        return dissemination_barrier(self, tag)
 
 
 @dataclass

@@ -388,6 +388,29 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "alltoall@" in out and "pattern replay:" in out
 
+    def test_zoo_fills_one_store_the_service_answers(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # Every registered workload runs tiny (--fast, --jobs 2) through the
+        # executor into one shared store, and the selection service answers
+        # a vector-collective query from the store the zoo just filled.
+        from repro.workloads import list_workloads
+
+        monkeypatch.chdir(tmp_path)
+        names = [info.name for info in list_workloads()]
+        assert len(names) >= 4
+        for name in names:
+            assert main([
+                "workload", "run", name, "--fast", "--machine", "simcluster",
+                "--nodes", "4", "--cores", "2", "--jobs", "2",
+                "--cache-dir", ".repro-cache", "--store", "workloads.db",
+            ]) == 0, name
+            out = capsys.readouterr().out
+            assert "phase cell(s) through the executor" in out, name
+        assert main(["query", "alltoallv", "8", "147",
+                     "--store", "workloads.db", "--json"]) == 0
+        reply = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert reply["ok"] and reply["algorithm"], reply
+
     def test_trace_file_replays_and_reports(self, capsys, tmp_path,
                                             monkeypatch):
         from repro.obs.analysis import TraceAnalysis

@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 import repro.collectives  # noqa: F401 - populate the registry
-from repro.collectives import MAX, SUM, list_algorithms, reference_result
+from repro.collectives import (
+    MAX,
+    SUM,
+    CollArgs,
+    list_algorithms,
+    make_input,
+    reference_result,
+    run_collective,
+)
+from repro.sim.mpi import TAG_P2P, run_processes
+from repro.sim.platform import Platform
 from tests.helpers import run_collective_all_ranks
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 13, 16]
@@ -58,6 +68,31 @@ def test_algorithm_nonzero_root_or_large(collective, algorithm):
         check(collective, algorithm, size=8, count=16, root=7)
     else:
         check(collective, algorithm, size=6, count=32)
+
+
+@pytest.mark.parametrize("collective,algorithm", all_cases())
+def test_pending_user_traffic_is_left_alone(collective, algorithm):
+    """A collective must not match a user's point-to-point message: each
+    rank has one in flight to its neighbour on ``TAG_P2P`` throughout."""
+    size, count = 8, 8
+    args = CollArgs(count=count, msg_bytes=64.0)
+    inputs = [make_input(collective, r, size, count) for r in range(size)]
+
+    def prog(ctx):
+        peer = ctx.rank ^ 1
+        sreq = ctx.isend(peer, 8, TAG_P2P, payload=np.array([-1.0 - ctx.rank]))
+        result = yield from run_collective(ctx, collective, algorithm, args,
+                                           inputs[ctx.rank])
+        req = yield from ctx.recv(peer, TAG_P2P)
+        yield ctx.waitall(sreq)
+        return result, float(req.payload[0])
+
+    run = run_processes(Platform("p2p", nodes=2, cores_per_node=4), prog)
+    for rank, (got, user) in enumerate(run.rank_results):
+        assert user == -1.0 - (rank ^ 1)
+        expected = reference_result(collective, inputs, args, rank)
+        if expected is not None:
+            assert np.array_equal(np.asarray(got), expected)
 
 
 @pytest.mark.parametrize("collective", ["bcast", "reduce", "allreduce"])

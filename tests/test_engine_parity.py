@@ -37,9 +37,12 @@ def digest_results(results) -> str:
     return h.hexdigest()[:16]
 
 
-# (collective, algorithm) -> (final_time, rank_times digest, results digest,
-# events processed), captured at 64 ranks (16 nodes x 4 cores), default
-# network, ascending pattern (max_skew=200us, seed=7), count=8, 2048 B.
+# (collective, algorithm[, count[, msg_bytes]]) -> (final_time, rank_times
+# digest, results digest, events processed), captured at 64 ranks (16 nodes x
+# 4 cores), default network, ascending pattern (max_skew=200us, seed=7),
+# count=8 and 2048 B unless the key says otherwise.  Schedules that fall back
+# at count=8 carry their own count: ring, rabenseifner and scatter_allgather
+# need count >= p, and segmented_ring needs two segments of at least p items.
 PINNED = {
     ("reduce", "binomial"): (
         0.00023146079999999988,
@@ -71,16 +74,59 @@ PINNED = {
         "29de3e8047dd4c32",
         16256,
     ),
+    # The paired send-receive schedules, pinned before the exchange step
+    # was fused into one engine condition.
+    ("allgather", "bruck"): (
+        0.0006603027936507939, "a0065a45156e11a6", "3a4f69f7167dd8f1", 1152),
+    ("allgather", "neighbor_exchange"): (
+        0.00045603839999999935, "7c4aa76505a40374", "3a4f69f7167dd8f1", 4224),
+    ("allgather", "recursive_doubling"): (
+        0.0006574600000000002, "c8b628875e660a8f", "3a4f69f7167dd8f1", 1152),
+    ("allgather", "ring"): (
+        0.0005043384000000026, "225b08e82b36288f", "3a4f69f7167dd8f1", 8192),
+    ("allreduce", "rabenseifner", 64): (
+        0.00023319360000000012, "582066ddb2af063c", "c20b6100ae7903bf", 1664),
+    ("allreduce", "ring", 64): (
+        0.00040225120000000295, "efa4f4ca4b1552d9", "c20b6100ae7903bf", 16256),
+    ("allreduce", "ring", 64, 524288.0): (  # rendezvous blocks
+        0.0023953072000000015, "4902f708268a210e", "c20b6100ae7903bf", 24320),
+    ("allreduce", "segmented_ring", 128, 131072.0): (
+        0.0010034767999999865, "8882ead3d4952e37", "8c64d5447441dd17", 32384),
+    ("allreduce", "smp"): (
+        0.00023473759999999985, "903a1efc851a5895", "340f587faf1d76e7", 512),
+    ("alltoall", "bruck"): (
+        0.0013119048000000005, "e2cb5b0f6b2d1486", "29de3e8047dd4c32", 1280),
+    ("barrier", "bruck"): (
+        0.00021301040000000008, "e7d168e21d2967a2", "e3b0c44298fc1c14", 896),
+    ("barrier", "recursive_doubling"): (
+        0.0002119096000000001, "b92fc9bfc5bf9d90", "e3b0c44298fc1c14", 896),
+    ("bcast", "scatter_allgather", 64): (
+        0.0003014256000000012, "03b5270248cb8472", "5ae0c66d46776c1f", 8350),
+    ("bcast", "split_binary"): (
+        0.00020163840000000002, "e1c7c912f90a038c", "0ce8402d8c8602d1", 413),
+    ("reduce", "rabenseifner", 64): (
+        0.00021925440000000013, "94abb1e0f72b3670", "efa0e78451a2d434", 1085),
+    ("reduce_scatter", "pairwise"): (
+        0.0006251037968253995, "221723447819f902", "279e9feab80c4872", 8192),
+    ("reduce_scatter", "recursive_halving"): (
+        0.0006611513904761905, "d71fdb8cf5c0fd04", "279e9feab80c4872", 1152),
 }
 
 
-@pytest.mark.parametrize("collective,algorithm", sorted(PINNED))
-def test_collective_parity_is_bit_identical(collective, algorithm):
+def _key_id(key) -> str:
+    return "-".join(str(part) for part in key)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED), ids=_key_id)
+def test_collective_parity_is_bit_identical(key):
+    collective, algorithm = key[:2]
+    count = key[2] if len(key) > 2 else 8
+    msg_bytes = key[3] if len(key) > 3 else 2048.0
     plat = Platform("parity", nodes=16, cores_per_node=4)
     p = plat.num_ranks
     pattern = generate_pattern("ascending", p, max_skew=200e-6, seed=7)
-    args = CollArgs(count=8, msg_bytes=2048.0)
-    inputs = [make_input(collective, r, p, 8) for r in range(p)]
+    args = CollArgs(count=count, msg_bytes=msg_bytes)
+    inputs = [make_input(collective, r, p, count) for r in range(p)]
 
     def prog(ctx):
         yield ctx.wait_until(pattern.skew_of(ctx.rank))
@@ -88,11 +134,73 @@ def test_collective_parity_is_bit_identical(collective, algorithm):
         return result
 
     run = run_processes(plat, prog)
-    final_time, times_digest, results_digest, events = PINNED[(collective, algorithm)]
+    final_time, times_digest, results_digest, events = PINNED[key]
     assert run.final_time == final_time  # exact, not approx
     assert digest_floats(run.rank_times) == times_digest
     assert digest_results(run.rank_results) == results_digest
     assert run.events_processed == events
+
+
+def _pinned_run(prog):
+    run = run_processes(Platform("parity", nodes=16, cores_per_node=4), prog)
+    return (run.final_time, digest_floats(run.rank_times),
+            digest_results(run.rank_results), run.events_processed)
+
+
+def test_allgatherv_ring_parity_is_bit_identical():
+    from repro.collectives.api import make_vector_input
+    from repro.collectives.vector import VectorArgs
+
+    pattern = generate_pattern("ascending", 64, max_skew=200e-6, seed=7)
+    args = VectorArgs(counts=tuple((r * 7) % 13 for r in range(64)),
+                      item_bytes=96.0)
+    inputs = [make_vector_input("allgatherv", r, 64, args) for r in range(64)]
+
+    def prog(ctx):
+        yield ctx.wait_until(pattern.skew_of(ctx.rank))
+        blocks = yield from run_collective(ctx, "allgatherv", "ring", args,
+                                           inputs[ctx.rank])
+        return np.concatenate(blocks)
+
+    assert _pinned_run(prog) == (
+        0.00041402160000000247, "da65a8ac83d59472", "a2f44b460781622c", 8192)
+
+
+def test_harness_barrier_parity_is_bit_identical():
+    pattern = generate_pattern("random", 64, max_skew=200e-6, seed=7)
+
+    def prog(ctx):
+        yield ctx.wait_until(pattern.skew_of(ctx.rank))
+        yield from ctx.barrier()
+        yield from ctx.barrier(tag=1_500)
+        return ctx.time()
+
+    assert _pinned_run(prog) == (
+        0.00022502000000000015, "1035d31311a9b986", "1035d31311a9b986", 1664)
+
+
+def test_group_context_parity_is_bit_identical():
+    # Two interleaved jobs on one fabric, as run_contended lays them out:
+    # each job's barrier and collective travel through GroupContext.
+    from repro.workloads.contention import GroupContext
+
+    pattern = generate_pattern("ascending", 64, max_skew=200e-6, seed=7)
+    groups = [tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]
+    algos = [("allreduce", "ring"), ("allgather", "bruck")]
+    args = CollArgs(count=32, msg_bytes=32768.0)
+
+    def prog(ctx):
+        job = ctx.rank % 2
+        g = GroupContext(ctx, groups[job])
+        coll, algo = algos[job]
+        yield ctx.wait_until(pattern.skew_of(ctx.rank))
+        yield from g.barrier()
+        data = make_input(coll, g.rank, g.size, 32)
+        return (yield from run_collective(g, coll, algo, args, data,
+                                          label=f"job{job}:{coll}/{algo}"))
+
+    assert _pinned_run(prog) == (
+        0.0024538893968254, "86ee5a774013c193", "e7384cc2209885af", 5216)
 
 
 # Expected mean last_delay per alltoall algorithm (32 ranks, random pattern

@@ -51,7 +51,7 @@ class TestTracedUntracedParity:
 
         def prog(ctx):
             peer = (ctx.rank + 1) % ctx.size
-            yield from ctx.sendrecv(peer, (ctx.rank - 1) % ctx.size, nbytes=256)
+            yield ctx.sendrecv(peer, (ctx.rank - 1) % ctx.size, nbytes=256)
             yield from ctx.barrier()
             return ctx.time()
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, ProtocolError
 from repro.sim.engine import ANY_SOURCE, ANY_TAG
-from repro.sim.mpi import run_processes
+from repro.sim.mpi import build_engine, run_processes
 from repro.sim.network import NetworkParams
 from repro.sim.platform import Platform
 
@@ -301,7 +304,7 @@ class TestDeterminism:
         def prog(ctx):
             partner = ctx.rank ^ 1
             for _ in range(10):
-                yield from ctx.sendrecv(partner, partner, nbytes=500)
+                yield ctx.sendrecv(partner, partner, nbytes=500)
             return ctx.time()
 
         res1 = run(small_platform, prog)
@@ -310,6 +313,87 @@ class TestDeterminism:
         assert res1.final_time == res2.final_time
         assert res1.events_processed == res2.events_processed
 
+
+
+class TestSendrecv:
+    """The fused ``sendrecv`` condition against the three-call form."""
+
+    # (nbytes, partner of rank r): eager and rendezvous pair exchanges on a
+    # ring, and self exchanges.
+    CASES = {
+        "eager": (500, lambda r, p: ((r + 1) % p, (r - 1) % p)),
+        "rendezvous": (65536, lambda r, p: ((r + 3) % p, (r - 3) % p)),
+        "self": (500, lambda r, p: (r, r)),
+    }
+
+    @staticmethod
+    def _program(nbytes, peers, fused):
+        def prog(ctx):
+            dst, src = peers(ctx.rank, ctx.size)
+            # Skewed entries: some receives find their message already
+            # delivered, so both the blocking and the immediate path run.
+            yield ctx.sleep(3e-6 * ((ctx.rank * 5) % 7))
+            got = []
+            for step in range(4):
+                payload = np.array([ctx.rank, step], dtype=np.float64)
+                if fused:
+                    rreq = yield ctx.sendrecv(dst, src, nbytes, 7, payload)
+                else:
+                    sreq = ctx.isend(dst, nbytes, 7, payload)
+                    rreq = ctx.irecv(src, 7)
+                    yield ctx.waitall(sreq, rreq)
+                got.append(rreq.payload.tolist())
+            return got
+
+        return prog
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fused_step_matches_the_triplet(self, small_platform, case):
+        nbytes, peers = self.CASES[case]
+        fused = run(small_platform, self._program(nbytes, peers, True))
+        triplet = run(small_platform, self._program(nbytes, peers, False))
+        assert fused.rank_times == triplet.rank_times  # bitwise
+        assert fused.rank_results == triplet.rank_results
+        assert fused.events_processed == triplet.events_processed
+        p = small_platform.num_ranks
+        for rank, got in enumerate(fused.rank_results):
+            src = peers(rank, p)[1]
+            assert got == [[float(src), float(step)] for step in range(4)]
+
+    @pytest.mark.parametrize("nbytes", [500, 65536])
+    def test_engine_drops_the_receive_request_after_resume(self, small_platform,
+                                                           nbytes):
+        # The received payload lives only on the receive request (and on the
+        # peer's send request until it is delivered), so it must die with
+        # the generator's last reference once every rank has moved on.
+        engine, contexts = build_engine(small_platform)
+        refs, alive_mid_run = [], []
+
+        def prog(ctx):
+            peer = ctx.rank ^ 1
+            yield ctx.sleep(1e-6 * ctx.rank)
+            rreq = yield ctx.sendrecv(peer, peer, nbytes, 3,
+                                      np.full(4, float(ctx.rank)))
+            ref = weakref.ref(rreq.payload)
+            refs.append(ref)
+            del rreq
+            yield ctx.sleep(1e-3)  # every rank has resumed by now
+            alive_mid_run.append(ref() is not None)
+
+        for rank, ctx in enumerate(contexts):
+            engine.set_process(rank, prog(ctx))
+        engine.run()
+        assert len(refs) == small_platform.num_ranks
+        assert not any(alive_mid_run)
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_yield_from_is_rejected(self, small_platform):
+        def prog(ctx):
+            yield from ctx.sendrecv(ctx.rank ^ 1, ctx.rank ^ 1, 8)
+
+        with pytest.raises(ProtocolError, match="blocking condition"):
+            run(small_platform, prog)
 
 
 class TestQuietPoint:

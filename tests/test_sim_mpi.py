@@ -72,7 +72,7 @@ class TestContextHelpers:
     def test_sendrecv_returns_receive_request(self, small_platform):
         def prog(ctx):
             partner = ctx.rank ^ 1
-            req = yield from ctx.sendrecv(
+            req = yield ctx.sendrecv(
                 partner, partner, nbytes=8, payload=np.array([float(ctx.rank)])
             )
             return float(req.payload[0])
@@ -89,7 +89,9 @@ class TestContextHelpers:
                 yield ctx.waitall(reqs, extra)
             elif ctx.rank == 1:
                 reqs = [ctx.irecv(0) for _ in range(4)]
-                yield ctx.waitall(reqs)
+                condition = ctx.waitall(reqs)
+                assert condition[1] is reqs  # a single list passes through
+                yield condition
             return None
 
         run_processes(small_platform, prog)

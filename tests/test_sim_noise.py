@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.noise import NOISE_PROFILES, NoiseModel, NoiseProfile, get_noise_profile
+from repro.utils.seeding import spawn_rng
 
 
 class TestProfiles:
@@ -60,6 +61,18 @@ class TestNoiseModel:
             s = [small.perturb(rank, 0.0, 1e-3) for _ in range(3)]
             l = [large.perturb(rank, 0.0, 1e-3) for _ in range(3)]
             assert s == l
+
+    def test_lazy_streams_match_streams_built_up_front(self):
+        # Each rank's stream is derived from (seed, rank) alone, so building
+        # it on first draw cannot change the draws, in any rank order.
+        lazy = NoiseModel("noisy", num_ranks=8, seed=9)
+        eager = NoiseModel("noisy", num_ranks=8, seed=9)
+        eager._rngs = [spawn_rng(9, "noise", rank) for rank in range(8)]
+        assert lazy._rngs == [None] * 8
+        order = [5, 2, 5, 7, 0, 2, 3, 3, 6, 1, 4, 0, 5]
+        assert ([lazy.perturb(r, 0.0, 1e-3) for r in order]
+                == [eager.perturb(r, 0.0, 1e-3) for r in order])
+        assert sum(rng is not None for rng in lazy._rngs) == len(set(order))
 
     def test_persistent_speed_factor_is_stable(self):
         model = NoiseModel("noisy", num_ranks=16, seed=3)

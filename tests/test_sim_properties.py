@@ -97,7 +97,7 @@ def test_random_pairwise_exchange_times_are_causal(p, nbytes, seed):
             return (ctx.time(), ctx.time(), 0.0)
         yield ctx.sleep(float(delays[me]))
         entry = ctx.time()
-        req = yield from ctx.sendrecv(partner, partner, nbytes)
+        req = yield ctx.sendrecv(partner, partner, nbytes)
         return entry, ctx.time(), float(delays[partner])
 
     run = run_processes(_platform(p), prog, num_ranks=p)
@@ -122,7 +122,7 @@ def test_engine_deterministic_under_any_port_config(p, shared, rx):
         partner = (ctx.rank + 1) % p
         source = (ctx.rank - 1) % p
         for _ in range(3):
-            yield from ctx.sendrecv(partner, source, 8192)
+            yield ctx.sendrecv(partner, source, 8192)
         return ctx.time()
 
     a = run_processes(_platform(p), prog, params=params, num_ranks=p)

@@ -89,6 +89,26 @@ class TestWaitAny:
         run = run_processes(plat, prog)
         assert run.rank_results[0] == [10.0, 11.0, 20.0, 21.0, 30.0, 31.0]
 
+    def test_rewait_replaces_the_stale_entry(self, plat):
+        # A request still pending across two waitany calls carries one
+        # back-pointer for the waiting fiber, not one per call.
+        def prog(ctx):
+            if ctx.rank in (1, 2, 3):
+                yield ctx.sleep(0.1 * ctx.rank)
+                yield from ctx.send(0, 8, payload=np.array([float(ctx.rank)]))
+            elif ctx.rank == 0:
+                pending = [ctx.irecv(src) for src in (1, 2, 3)]
+                order = []
+                while pending:
+                    index = yield ctx.waitany(pending)
+                    order.append(float(pending.pop(index).payload[0]))
+                    assert all(type(r.waiters) is tuple for r in pending)
+                return order
+            return None
+
+        run = run_processes(plat, prog)
+        assert run.rank_results[0] == [1.0, 2.0, 3.0]
+
     def test_empty_waitany_rejected(self, plat):
         def prog(ctx):
             yield ctx.waitany()
