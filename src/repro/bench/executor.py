@@ -19,6 +19,11 @@ module supplies the three pieces the sweep drivers build on:
   byte-identical to serial ones.  Per-cell timings and cache hit/miss
   counters accumulate on :class:`ExecutorStats`.
 
+Every cell runs through :func:`run_cell`, which simulates each schedule
+once per sweep group: a cell whose algorithm falls back wholesale to one
+that already ran in the group (:func:`~repro.collectives.schedule_of`)
+reuses that run.
+
 Environment overrides (picked up when a sweep builds its default executor):
 ``REPRO_JOBS`` sets the worker count, ``REPRO_CACHE_DIR`` enables the
 cache, and ``REPRO_STORE`` sinks every finished cell into a persistent
@@ -34,7 +39,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -196,6 +201,17 @@ class CellSpec:
             engine_mode=self.engine_mode,
         )
 
+    def schedule(self) -> str:
+        """The algorithm whose schedule this cell runs
+        (:func:`~repro.collectives.schedule_of` of the harness's arguments)."""
+        from repro.collectives import CollArgs, schedule_of
+        from repro.collectives.ops import get_op
+
+        args = CollArgs(count=self.count, msg_bytes=self.msg_bytes,
+                        op=get_op(self.op), segment_bytes=self.segment_bytes)
+        return schedule_of(self.collective, self.algorithm,
+                           self.nodes * self.cores_per_node, args)
+
     def run(self) -> "BenchResult":
         """Simulate this cell from scratch (the worker-side entry point)."""
         from repro.collectives.ops import get_op
@@ -258,9 +274,68 @@ class CellSpec:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: The last sweep group run in this process: its key and, per schedule,
+#: ``(algorithm, result, cell session or None)`` of the cell that ran it.
+#: Module state, like the synced-clock prefix of repro.bench.micro: the
+#: executor hands run_cell one cell at a time, inline or in a pool worker.
+_last_group: tuple[object, dict] = (None, {})
+
+
 def run_cell(spec: CellSpec) -> "BenchResult":
-    """Module-level worker function (must stay picklable by reference)."""
-    return spec.run()
+    """Run one cell, simulating each schedule once per sweep group.
+
+    Module-level: pool workers pickle it by reference.  A sweep group is a
+    run of consecutive exact-engine cells equal in every field but
+    ``algorithm``.  A cell whose schedule (:meth:`CellSpec.schedule`)
+    already ran in the current group returns a copy of that twin's result
+    under its own algorithm and replays the twin's telemetry into its own
+    cell session (:func:`~repro.obs.collect.replay_telemetry`).  Reuse
+    needs no open session or the cell's own (:func:`_run_cell_job`'s):
+    any other session holds more than the twin's telemetry, so under it
+    the cell simulates.  Hybrid cells dispatch on the requested name and
+    vector cells declare no fallbacks: both always simulate.
+    """
+    global _last_group
+    octx = _obs_current()
+    if (spec.engine_mode != "exact" or spec.counts is not None
+            or (octx.enabled and octx.run_id != _cell_run_id(spec))):
+        return spec.run()
+    # A twin's telemetry stands in only for a cell that records the same.
+    key = (replace(spec, algorithm=""), octx.enabled, octx.record_spans,
+           octx.record_messages)
+    if _last_group[0] != key:
+        _last_group = (key, {})
+    runs = _last_group[1]
+    schedule = spec.schedule()
+    twin = runs.get(schedule)
+    if twin is None:
+        result = spec.run()
+        runs[schedule] = (spec.algorithm, result,
+                          octx if octx.enabled else None)
+        return result
+    algorithm, result, session = twin
+    if session is not None:
+        from repro.obs.collect import capture_telemetry, replay_telemetry
+
+        replay_telemetry(octx, capture_telemetry(session), spec.collective,
+                         algorithm, spec.algorithm)
+    return _copy_result(result, spec.algorithm)
+
+
+def _copy_result(result: "BenchResult", algorithm: str) -> "BenchResult":
+    """``result`` under another algorithm name, sharing no array with it."""
+    from repro.bench.metrics import CollectiveTiming
+
+    return replace(result, algorithm=algorithm, timings=[
+        CollectiveTiming(t.arrivals.copy(), t.exits.copy())
+        for t in result.timings])
+
+
+def _cell_run_id(spec: CellSpec) -> str:
+    """Run ID of the observability session a cell runs under."""
+    from repro.obs.runid import make_run_id
+
+    return make_run_id({"cell": spec.cache_key()}, prefix="cell")
 
 
 def _run_cell_job(
@@ -286,10 +361,9 @@ def _run_cell_job(
 
     from repro.obs.collect import capture_telemetry
     from repro.obs.context import session
-    from repro.obs.runid import make_run_id
 
     started = time.process_time()
-    with session(run_id=make_run_id({"cell": spec.cache_key()}, prefix="cell"),
+    with session(run_id=_cell_run_id(spec),
                  meta={"collective": spec.collective,
                        "algorithm": spec.algorithm},
                  record_spans=record_spans,

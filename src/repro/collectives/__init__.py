@@ -23,6 +23,7 @@ from repro.collectives.base import (
     list_algorithms,
     list_collectives,
     register,
+    schedule_of,
 )
 from repro.collectives.ops import MAX, MIN, PROD, SUM, ReduceOp
 from repro.collectives.api import (
@@ -63,6 +64,7 @@ __all__ = [
     "get_algorithm_by_id",
     "list_algorithms",
     "list_collectives",
+    "schedule_of",
     "make_input",
     "make_vector_input",
     "reference_result",

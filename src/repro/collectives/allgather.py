@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.collectives.base import (
+    CollArgs,
     FlowPlan,
     as_array,
     ceil_log2,
@@ -73,11 +74,17 @@ def allgather_bruck(ctx, args, data):
     return out
 
 
+def _recursive_doubling_runs_as(p: int, args: CollArgs) -> str | None:
+    """Partners pair up only at a power of two: Bruck runs otherwise."""
+    return "bruck" if p & (p - 1) else None
+
+
 @register("allgather", "recursive_doubling", ompi_id=3, aliases=("rdb",),
-          description="log2(p) exchange rounds (power-of-two ranks; otherwise falls back to Bruck).")
+          description="log2(p) exchange rounds (power-of-two ranks; otherwise falls back to Bruck).",
+          runs_as=_recursive_doubling_runs_as)
 def allgather_recursive_doubling(ctx, args, data):
     p, me = ctx.size, ctx.rank
-    if p & (p - 1):
+    if _recursive_doubling_runs_as(p, args):
         return (yield from allgather_bruck(ctx, args, data))
     own = as_array(data, args.count, "allgather data")
     out = _out(ctx, args, own)
@@ -110,8 +117,14 @@ def allgather_ring(ctx, args, data):
     return out
 
 
+def _neighbor_exchange_runs_as(p: int, args: CollArgs) -> str | None:
+    """Neighbour pairs need an even rank count: the ring runs otherwise."""
+    return "ring" if p % 2 else None
+
+
 @register("allgather", "neighbor_exchange", ompi_id=5, aliases=("neighbor",),
-          description="p/2 rounds exchanging growing pairs with alternating neighbours (even p).")
+          description="p/2 rounds exchanging growing pairs with alternating neighbours (even p).",
+          runs_as=_neighbor_exchange_runs_as)
 def allgather_neighbor_exchange(ctx, args, data):
     """Neighbor-exchange allgather (Chen et al.); requires even p, else ring.
 
@@ -120,7 +133,7 @@ def allgather_neighbor_exchange(ctx, args, data):
     right neighbours.
     """
     p, me = ctx.size, ctx.rank
-    if p % 2:
+    if _neighbor_exchange_runs_as(p, args):
         return (yield from allgather_ring(ctx, args, data))
     own = as_array(data, args.count, "allgather data")
     out = _out(ctx, args, own)

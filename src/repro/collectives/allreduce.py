@@ -117,33 +117,47 @@ def _ring_exchange(ctx, args, own, bounds, tag):
     return own
 
 
+def _ring_runs_as(p: int, args: CollArgs) -> str | None:
+    """Fewer items than ranks leave a block empty: recursive doubling runs."""
+    return "recursive_doubling" if args.count < p else None
+
+
 @register("allreduce", "ring", ompi_id=4, aliases=("lr",),
-          description="Ring reduce-scatter then ring allgather (the 'lr' algorithm).")
+          description="Ring reduce-scatter then ring allgather (the 'lr' algorithm).",
+          runs_as=_ring_runs_as)
 def allreduce_ring(ctx, args, data):
     _require_commutative(args, "ring")
     p = ctx.size
     own = as_array(data, args.count, "allreduce data").copy()
     if p == 1:
         return own
-    if args.count < p:
+    if _ring_runs_as(p, args):
         return (yield from allreduce_recursive_doubling(ctx, args, data))
     bounds = np.linspace(0, args.count, p + 1).astype(int)
     return (yield from _ring_exchange(ctx, args, own, bounds, args.tag))
 
 
+def _segmented_ring_runs_as(p: int, args: CollArgs) -> str | None:
+    """One segment (or fewer items than ranks) has nothing to pipeline:
+    the plain ring runs."""
+    if args.count < p or len(args.segments()) == 1:
+        return "ring"
+    return None
+
+
 @register("allreduce", "segmented_ring", ompi_id=5,
           aliases=("ring_segmented", "ompi_ring_segmented"),
-          description="Ring allreduce applied per segment (pipelines very large messages).")
+          description="Ring allreduce applied per segment (pipelines very large messages).",
+          runs_as=_segmented_ring_runs_as)
 def allreduce_segmented_ring(ctx, args, data):
     _require_commutative(args, "segmented_ring")
     p = ctx.size
     own = as_array(data, args.count, "allreduce data").copy()
     if p == 1:
         return own
-    segs = args.segments()
-    if args.count < p or len(segs) == 1:
+    if _segmented_ring_runs_as(p, args):
         return (yield from allreduce_ring(ctx, args, data))
-    for off, n in segs:
+    for off, n in args.segments():
         if n < p:
             # Tiny trailing segment: fold it with recursive doubling.
             seg_args = CollArgs(
@@ -179,17 +193,25 @@ def allreduce_allgather_reduce(ctx, args, data):
     return acc
 
 
+def _rabenseifner_runs_as(p: int, args: CollArgs) -> str | None:
+    """Fewer items than the power-of-two core cannot be halved that often:
+    recursive doubling runs."""
+    pof2 = largest_power_of_two_leq(p)
+    return "recursive_doubling" if args.count < pof2 else None
+
+
 @register("allreduce", "rabenseifner", ompi_id=6, aliases=("raben", "rab_rdb"),
-          description="Recursive-halving reduce-scatter, then recursive-doubling allgather.")
+          description="Recursive-halving reduce-scatter, then recursive-doubling allgather.",
+          runs_as=_rabenseifner_runs_as)
 def allreduce_rabenseifner(ctx, args, data):
     _require_commutative(args, "rabenseifner")
     p, me = ctx.size, ctx.rank
     own = as_array(data, args.count, "allreduce data").copy()
-    pof2 = largest_power_of_two_leq(p)
     if p == 1:
         return own
-    if args.count < pof2 or pof2 == 1:
+    if _rabenseifner_runs_as(p, args):
         return (yield from allreduce_recursive_doubling(ctx, args, data))
+    pof2 = largest_power_of_two_leq(p)
     rem = p - pof2
 
     if me < 2 * rem:
@@ -290,7 +312,7 @@ def _ring_flow(p, args, net):
     # count < p delegates to recursive doubling inside the algorithm — a
     # different schedule; let the exact path (or its own descriptor via a
     # direct call) handle it.
-    if args.count < p:
+    if _ring_runs_as(p, args):
         return None
     bounds = np.linspace(0, args.count, p + 1).astype(int)
     blen = np.diff(bounds)

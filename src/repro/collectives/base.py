@@ -22,7 +22,10 @@ Registry
 Algorithms self-register with the :func:`register` decorator, keyed by
 collective family and algorithm name, optionally carrying the Open MPI
 algorithm ID from the paper's Table II and any aliases (e.g. the SimGrid
-names used in Fig. 4).
+names used in Fig. 4).  An algorithm that hands some calls wholesale to
+another (segmented ring below one segment runs the plain ring) declares
+that rule as ``runs_as``; :func:`schedule_of` follows it to the algorithm
+whose schedule actually runs.
 """
 
 from __future__ import annotations
@@ -279,6 +282,10 @@ def chain_tree(rank: int, size: int, root: int = 0, fanout: int = 1) -> tuple[in
 #: Signature of a collective algorithm generator: (ctx, args, data) -> result.
 AlgorithmFn = Callable[..., Iterator]
 
+#: Signature of a wholesale-fallback rule: (p, args) -> the name of the
+#: registered algorithm whose schedule runs unchanged, or None.
+RunsAsFn = Callable[[int, CollArgs], "str | None"]
+
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
@@ -290,6 +297,7 @@ class AlgorithmInfo:
     ompi_id: int | None = None
     aliases: tuple[str, ...] = ()
     description: str = ""
+    runs_as: RunsAsFn | None = field(default=None, repr=False)
 
     @property
     def label(self) -> str:
@@ -308,15 +316,23 @@ def register(
     ompi_id: int | None = None,
     aliases: tuple[str, ...] = (),
     description: str = "",
+    runs_as: RunsAsFn | None = None,
 ) -> Callable[[AlgorithmFn], AlgorithmFn]:
-    """Class-level decorator registering a collective algorithm generator."""
+    """Class-level decorator registering a collective algorithm generator.
+
+    ``runs_as(p, args)`` declares a wholesale fallback: it names the
+    registered algorithm whose schedule this one runs unchanged on ``p``
+    ranks with ``args``, or returns None.  The algorithm's body takes its
+    fallback branch on the same predicate, so the rule lives in one place.
+    """
 
     def deco(fn: AlgorithmFn) -> AlgorithmFn:
         family = _REGISTRY.setdefault(collective, {})
         alias_map = _ALIASES.setdefault(collective, {})
         if name in family or name in alias_map:
             raise ConfigurationError(f"duplicate algorithm {collective}/{name}")
-        info = AlgorithmInfo(collective, name, fn, ompi_id, tuple(aliases), description)
+        info = AlgorithmInfo(collective, name, fn, ompi_id, tuple(aliases),
+                             description, runs_as)
         family[name] = info
         for alias in aliases:
             if alias in alias_map or alias in family:
@@ -359,6 +375,23 @@ def get_algorithm(collective: str, name: str) -> AlgorithmInfo:
     if info is None:
         raise UnknownAlgorithmError(collective, name, list(family))
     return info
+
+
+def schedule_of(collective: str, algorithm: str, p: int, args: CollArgs) -> str:
+    """Canonical name of the algorithm whose schedule ``algorithm`` runs.
+
+    Follows the chain of ``runs_as`` fallbacks (segmented ring at one
+    segment runs ring; ring with fewer items than ranks runs recursive
+    doubling) to the algorithm that actually runs on ``p`` ranks with
+    ``args``; an algorithm without a fallback there names itself.
+    """
+    info = get_algorithm(collective, algorithm)
+    while info.runs_as is not None:
+        twin = info.runs_as(p, args)
+        if twin is None:
+            break
+        info = get_algorithm(collective, twin)
+    return info.name
 
 
 def get_algorithm_by_id(collective: str, ompi_id: int) -> AlgorithmInfo:
@@ -412,6 +445,7 @@ __all__ = [
     "FlowPlan",
     "phase_descriptor",
     "register",
+    "schedule_of",
     "get_algorithm",
     "get_algorithm_by_id",
     "list_algorithms",

@@ -112,8 +112,14 @@ def bcast_knomial(ctx, args, data):
     return (yield from _tree_bcast(ctx, args, data, tree))
 
 
+def _split_binary_runs_as(p: int, args: CollArgs) -> str | None:
+    """Fewer than four ranks or two items cannot be split: binomial runs."""
+    return "binomial" if p < 4 or args.count < 2 else None
+
+
 @register("bcast", "split_binary", ompi_id=4,
-          description="Message halves travel down the two root subtrees; opposite-subtree pairs swap halves.")
+          description="Message halves travel down the two root subtrees; opposite-subtree pairs swap halves.",
+          runs_as=_split_binary_runs_as)
 def bcast_split_binary(ctx, args, data):
     """Split-binary broadcast (Open MPI algorithm 4).
 
@@ -125,8 +131,8 @@ def bcast_split_binary(ctx, args, data):
     fewer than four ranks or messages too small to split.
     """
     p, me = ctx.size, ctx.rank
-    if p < 4 or args.count < 2:
-        return (yield from _tree_bcast(ctx, args, data, binomial_tree))
+    if _split_binary_runs_as(p, args):
+        return (yield from bcast_binomial(ctx, args, data))
     v = vrank(me, p, args.root)
     half_items = args.count // 2
     spans = {0: (0, half_items), 1: (half_items, args.count)}
@@ -205,8 +211,14 @@ def bcast_split_binary(ctx, args, data):
     return buf
 
 
+def _scatter_allgather_runs_as(p: int, args: CollArgs) -> str | None:
+    """Fewer items than ranks leave nothing to scatter: binomial runs."""
+    return "binomial" if args.count < p or p == 1 else None
+
+
 @register("bcast", "scatter_allgather", ompi_id=8, aliases=("van_de_geijn",),
-          description="Binomial scatter of blocks, then ring allgather.")
+          description="Binomial scatter of blocks, then ring allgather.",
+          runs_as=_scatter_allgather_runs_as)
 def bcast_scatter_allgather(ctx, args, data):
     """Van de Geijn broadcast: bandwidth-optimal for large messages.
 
@@ -216,8 +228,8 @@ def bcast_scatter_allgather(ctx, args, data):
     ranks (the scatter would be pointless).
     """
     p, me = ctx.size, ctx.rank
-    if args.count < p or p == 1:
-        return (yield from _tree_bcast(ctx, args, data, binomial_tree))
+    if _scatter_allgather_runs_as(p, args):
+        return (yield from bcast_binomial(ctx, args, data))
     v = vrank(me, p, args.root)
     bounds = np.linspace(0, args.count, p + 1).astype(int)
 

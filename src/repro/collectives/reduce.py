@@ -163,8 +163,17 @@ def reduce_in_order_binary(ctx, args, data):
     return None
 
 
+def _rabenseifner_runs_as(p: int, args: CollArgs) -> str | None:
+    """One rank, or fewer items than the power-of-two core, leave nothing
+    to halve: binomial runs."""
+    if p == 1 or args.count < largest_power_of_two_leq(p):
+        return "binomial"
+    return None
+
+
 @register("reduce", "rabenseifner", ompi_id=7, aliases=("raben", "scatter_gather"),
-          description="Recursive-halving reduce-scatter, then binomial gather to the root.")
+          description="Recursive-halving reduce-scatter, then binomial gather to the root.",
+          runs_as=_rabenseifner_runs_as)
 def reduce_rabenseifner(ctx, args, data):
     """Rabenseifner's algorithm; bandwidth-optimal for large messages.
 
@@ -175,9 +184,9 @@ def reduce_rabenseifner(ctx, args, data):
     """
     _require_commutative(args, "rabenseifner")
     p, me = ctx.size, ctx.rank
+    if _rabenseifner_runs_as(p, args):
+        return (yield from reduce_binomial(ctx, args, data))
     pof2 = largest_power_of_two_leq(p)
-    if args.count < pof2 or p == 1 or pof2 == 1:
-        return (yield from _tree_reduce(ctx, args, data, binomial_tree))
     own = as_array(data, args.count, "reduce data").copy()
     rem = p - pof2
 

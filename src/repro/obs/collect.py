@@ -33,6 +33,12 @@ Wall-clock spans captured inside a cell (``bench.cell``, ``sim.run``) stay
 in the payload but are *not* merged: worker wall clocks share no epoch with
 the parent, and wall timings legitimately differ between serial and
 parallel runs — merging them would break trace parity.
+
+* :func:`replay_telemetry` — fills a cell's own session with a twin cell's
+  payload, renamed.  The executor simulates each schedule once per sweep
+  group (:func:`repro.bench.executor.run_cell`): a cell whose algorithm
+  falls back to one that already ran replays that run's telemetry, so its
+  payload, like a cache hit's, reads as if it had simulated.
 """
 
 from __future__ import annotations
@@ -169,6 +175,43 @@ def merge_telemetry(ctx: "ObsContext", telemetry: CellTelemetry,
     return container
 
 
+def replay_telemetry(ctx: "ObsContext", telemetry: CellTelemetry,
+                     collective: str, twin: str, algorithm: str) -> None:
+    """Record a twin cell's payload into ``ctx``, the fresh session of a
+    cell that ran the twin's schedule under the name ``algorithm``.
+
+    Metrics, engine stats and spans (both clock domains, ids and parent
+    links kept) are copied with ``twin`` swapped for ``algorithm`` in the
+    span names, the ``algorithm`` span argument and the
+    ``collective.calls.*`` key, which is how the cell's own run would have
+    recorded them.
+    """
+    old_name, new_name = f"{collective}/{twin}", f"{collective}/{algorithm}"
+    old_key = f"collective.calls.{collective}.{twin}"
+    ctx.metrics.merge_snapshot({
+        f"collective.calls.{collective}.{algorithm}" if key == old_key
+        else key: snap
+        for key, snap in telemetry.metrics.items()})
+    if telemetry.engine is not None:
+        from repro.sim.engine import EngineStats  # deferred: no obs->engine cycle
+
+        ctx.absorb_engine_stats(EngineStats.from_dict(telemetry.engine))
+    recorder = ctx.spans
+    if not ctx.record_spans or recorder is None:
+        return
+    recorder.dropped += telemetry.dropped
+    spans = []
+    for span in telemetry.spans:
+        span = dict(span)
+        if span["name"] == old_name:
+            span["name"] = new_name
+        args = span.get("args")
+        if args and args.get("algorithm") == twin:
+            span["args"] = {**args, "algorithm": algorithm}
+        spans.append(span)
+    recorder.extend(spans)
+
+
 __all__ = [
     "CELLS_TRACK",
     "SIMULATED",
@@ -176,4 +219,5 @@ __all__ = [
     "CellTelemetry",
     "capture_telemetry",
     "merge_telemetry",
+    "replay_telemetry",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 VIRTUAL = "virtual"
 WALL = "wall"
@@ -144,6 +144,23 @@ class SpanRecorder:
             self.dropped += 1
         self.spans.append(Span(sid, parent, name, track, domain, start, end, args))
         return sid
+
+    def extend(self, records: Iterable[dict]) -> None:
+        """Append spans captured from another recorder (``Span.to_dict()``
+        records, in its ring order), with ids and parent links shifted past
+        this recorder's own; into a fresh recorder they keep their ids."""
+        base = self._next_id
+        for r in records:
+            sid = base + r["span_id"]
+            parent = r["parent_id"]
+            self._register_track(r["track"])
+            if len(self.spans) == self.capacity:
+                self.dropped += 1
+            self.spans.append(Span(
+                sid, None if parent is None else base + parent, r["name"],
+                r["track"], r["domain"], r["start"], r["end"], r.get("args")))
+            if sid > self._next_id:
+                self._next_id = sid
 
     @contextmanager
     def wall_span(self, name: str, track: str = "harness",

@@ -690,34 +690,40 @@ class Engine:
                 resume_at = fiber.wait_deadline
                 fiber.now = resume_at
                 self._schedule(resume_at, _EV_RESUME, fiber, rreq)
-        elif kind == "wait" or kind == "wait_any":
+        elif kind == "wait":
             requests: list[Request] = condition[1]
-            any_mode = kind == "wait_any"
             rank = fiber.owner
             for req in requests:
                 if req.kind == _RECV and req.owner != rank:
                     raise ProtocolError(
                         f"process {rank} waiting on foreign recv of rank {req.owner}"
                     )
-            if any_mode:
-                done_times = [
-                    (r.complete_time, i) for i, r in enumerate(requests)
-                    if r.complete_time is not None
-                ]
-                if done_times:
-                    when, index = min(done_times)
-                    resume_at = max(fiber.now, when)
-                    fiber.now = resume_at
-                    self._schedule(resume_at, _EV_RESUME, fiber, index)
-                else:
-                    self._block(fiber, requests, any_mode=True)
-                return
             if self._block(fiber, requests, any_mode=False):
                 return
             # Every request already complete: resume after the latest one.
             resume_at = fiber.wait_deadline
             fiber.now = resume_at
             self._schedule(resume_at, _EV_RESUME, fiber, None)
+        elif kind == "wait_any":
+            # One pass: reject a foreign receive and find the earliest
+            # completion (ties go to the lowest index).
+            requests = condition[1]
+            rank = fiber.owner
+            index = -1
+            for i, req in enumerate(requests):
+                if req.kind == _RECV and req.owner != rank:
+                    raise ProtocolError(
+                        f"process {rank} waiting on foreign recv of rank {req.owner}"
+                    )
+                ct = req.complete_time
+                if ct is not None and (index < 0 or ct < when):
+                    when, index = ct, i
+            if index < 0:
+                self._block(fiber, requests, any_mode=True)
+                return
+            resume_at = max(fiber.now, when)
+            fiber.now = resume_at
+            self._schedule(resume_at, _EV_RESUME, fiber, index)
         elif kind == "sleep":
             dt = condition[1]
             if dt < 0:
@@ -846,12 +852,12 @@ class Engine:
             return  # stale registration from an earlier wait
         if fiber.wait_any:
             # First completion for this wait: pick the earliest-completed
-            # index (scans once; duplicates resolve to the lowest index).
-            done_times = [
-                (r.complete_time, i) for i, r in enumerate(fiber.waiting)
-                if r.complete_time is not None
-            ]
-            when, index = min(done_times)
+            # index (scans once; ties go to the lowest index).
+            index = -1
+            for i, r in enumerate(fiber.waiting):
+                ct = r.complete_time
+                if ct is not None and (index < 0 or ct < when):
+                    when, index = ct, i
             resume_at = fiber.now if fiber.now > when else when
             fiber.waiting = None
             fiber.wait_any = False

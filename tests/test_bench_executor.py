@@ -274,6 +274,79 @@ class TestCellExecutor:
         assert ex.jobs == 1 and ex.cache is None
 
 
+class TestScheduleReuse:
+    """run_cell simulates each schedule once per sweep group: at 1 KiB the
+    segmented ring has one segment and runs the plain ring's schedule."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_group(self, monkeypatch):
+        import repro.bench.executor as executor_mod
+
+        monkeypatch.setattr(executor_mod, "_last_group", (None, {}))
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Algorithms MicroBenchmark.run simulated, in call order."""
+        calls = []
+        original = MicroBenchmark.run
+
+        def counting(self, collective, algorithm, *args, **kwargs):
+            calls.append(algorithm)
+            return original(self, collective, algorithm, *args, **kwargs)
+
+        monkeypatch.setattr(MicroBenchmark, "run", counting)
+        return calls
+
+    @staticmethod
+    def _twins(bench, msg=1024, pattern=None):
+        return [CellSpec.from_bench(bench, "allreduce", algo, msg, pattern)
+                for algo in ("ring", "segmented_ring")]
+
+    def test_reused_result_equals_a_fresh_simulation(self, bench, runs):
+        ring, segmented = self._twins(bench)
+        twin = run_cell(ring)
+        reused = run_cell(segmented)
+        assert runs == ["ring"]
+        fresh = segmented.run()
+        assert reused.algorithm == "segmented_ring"
+        assert reused.to_dict() == fresh.to_dict()
+        for mine, theirs in zip(reused.timings, twin.timings):
+            assert not np.shares_memory(mine.arrivals, theirs.arrivals)
+            assert not np.shares_memory(mine.exits, theirs.exits)
+
+    def test_a_cell_of_another_group_is_simulated(self, bench, runs):
+        pattern = generate_pattern("ascending", bench.num_ranks, 1e-5, seed=1)
+        other = dataclasses.replace(bench, seed=bench.seed + 1)
+        for changed in (self._twins(bench, msg=2048)[1],
+                        self._twins(bench, pattern=pattern)[1],
+                        self._twins(other)[1]):
+            run_cell(self._twins(bench)[0])
+            run_cell(changed)
+        assert runs == ["ring", "segmented_ring"] * 3
+
+    def test_hybrid_twins_are_simulated(self, bench, runs):
+        hybrid = dataclasses.replace(bench, engine_mode="hybrid")
+        for spec in self._twins(hybrid):
+            run_cell(spec)
+        assert runs == ["ring", "segmented_ring"]
+
+    def test_direct_call_under_a_session_neither_reuses_nor_duplicates(
+            self, bench, runs):
+        from repro import obs
+
+        with obs.session(run_id="direct") as ctx:
+            for spec in self._twins(bench):
+                run_cell(spec)
+        assert runs == ["ring", "segmented_ring"]
+        assert ctx.engine_stats.runs == 2
+        calls = ctx.metrics.snapshot()
+        assert (calls["collective.calls.allreduce.ring"]
+                == calls["collective.calls.allreduce.segmented_ring"])
+        # Nothing was kept for a later cell of the group either.
+        run_cell(self._twins(bench)[1])
+        assert runs == ["ring", "segmented_ring", "segmented_ring"]
+
+
 class TestSweepParity:
     def test_shared_skew_parallel_is_byte_identical(self, bench):
         kw = dict(collective="alltoall", algorithms=["bruck", "pairwise"],

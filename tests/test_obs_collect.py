@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.bench.executor import CellExecutor, CellSpec
 from repro.bench.micro import MicroBenchmark
+from repro.bench.runner import sweep_shared_skew
 from repro.errors import TraceFormatError
 from repro.obs.analysis import HOST_TIME_METRICS, TraceAnalysis
 from repro.obs.collect import (
@@ -24,6 +25,7 @@ from repro.obs.collect import (
     CellTelemetry,
     capture_telemetry,
     merge_telemetry,
+    replay_telemetry,
 )
 from repro.obs.context import ObsContext
 from repro.patterns.generator import generate_pattern
@@ -143,6 +145,103 @@ class TestCaptureAndMerge:
         parent = ObsContext("parent", {})
         merge_telemetry(parent, telemetry)
         assert all(s.domain == "virtual" for s in parent.spans)
+
+
+class TestReplay:
+    def _twin(self):
+        with obs.session(run_id="twin", record_spans=True) as cctx:
+            with cctx.wall_span("bench.cell", track="bench",
+                                args={"collective": "x", "algorithm": "y"}):
+                with cctx.wall_span("sim.run", track="sim"):
+                    cctx.record_rank_span("x/y", 0, 0.0, 2.0)
+                    cctx.record_rank_span("skew_wait", 1, 0.0, 1.0)
+            cctx.metrics.counter("collective.calls.x.y").inc(2)
+            cctx.metrics.counter("other").inc()
+            return capture_telemetry(cctx)
+
+    def test_replay_renames_the_twin_and_keeps_span_links(self):
+        twin = self._twin()
+        ctx = ObsContext("cell", {})
+        replay_telemetry(ctx, twin, "x", "y", "z")
+        replayed = capture_telemetry(ctx)
+        assert [s["name"] for s in replayed.spans] == \
+            ["x/z", "skew_wait", "sim.run", "bench.cell"]
+        assert replayed.spans[-1]["args"] == {"collective": "x",
+                                              "algorithm": "z"}
+
+        def shape(spans):
+            return [(s["span_id"], s["parent_id"], s["track"], s["domain"],
+                     s["start"], s["end"]) for s in spans]
+
+        assert shape(replayed.spans) == shape(twin.spans)
+        assert ctx.spans.tracks == ["rank 0", "rank 1", "sim", "bench"]
+        assert replayed.metrics == {
+            "collective.calls.x.z": {"kind": "counter", "value": 2},
+            "other": {"kind": "counter", "value": 1},
+        }
+
+    def test_replay_into_a_used_recorder_shifts_ids(self):
+        ctx = ObsContext("cell", {})
+        ctx.record_rank_span("earlier", 0, 0.0, 1.0)
+        replay_telemetry(ctx, self._twin(), "x", "y", "z")
+        spans = {s.name: s for s in ctx.spans}
+        assert len({s.span_id for s in ctx.spans}) == 5
+        assert spans["sim.run"].parent_id == spans["bench.cell"].span_id
+
+    def test_replay_without_span_recording_copies_metrics_only(self):
+        ctx = ObsContext("cell", {}, record_spans=False)
+        replay_telemetry(ctx, self._twin(), "x", "y", "z")
+        assert len(ctx.spans) == 0
+        assert ctx.metrics.get("collective.calls.x.z").value == 2
+
+
+class TestScheduleReuse:
+    """At 1 KiB the segmented ring runs the ring's schedule, so each sweep
+    group simulates it once; the reused cell replays the ring's payload."""
+
+    ALGORITHMS = ["ring", "recursive_doubling", "segmented_ring"]
+
+    def _sweep(self, jobs):
+        bench = MicroBenchmark(
+            platform=Platform(name="reuse", nodes=2, cores_per_node=2),
+            nrep=2, seed=11,
+        )
+        with obs.session(run_id="reuse-test", record_spans=True) as ctx:
+            sweep = sweep_shared_skew(bench, "allreduce", self.ALGORITHMS,
+                                      1024, ["no_delay", "ascending"],
+                                      executor=CellExecutor(jobs=jobs))
+        spans = [s.to_dict() for s in ctx.spans if s.domain == "virtual"]
+        engine = {k: v for k, v in ctx.engine_stats.to_dict().items()
+                  if k not in ("wall_seconds", "events_per_sec")}
+        return (json.dumps(sweep.to_dict()), spans,
+                _deterministic_metrics(ctx), engine)
+
+    def test_reuse_matches_simulating_every_cell_at_any_jobs(
+            self, monkeypatch):
+        import repro.bench.executor as executor_mod
+
+        calls = []
+        original = MicroBenchmark.run
+
+        def counting(bench, collective, algorithm, *args, **kwargs):
+            calls.append(algorithm)
+            return original(bench, collective, algorithm, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(executor_mod, "_last_group", (None, {}))
+            m.setattr(MicroBenchmark, "run", counting)
+            serial = self._sweep(jobs=1)
+            assert calls == ["ring", "recursive_doubling"] * 2
+            m.setattr(executor_mod.CellSpec, "schedule",
+                      lambda spec: spec.algorithm)
+            every_cell = self._sweep(jobs=1)
+            assert len(calls) == 4 + 6
+        parallel = self._sweep(jobs=2)
+        assert serial == every_cell == parallel
+        cells = [s for s in serial[1] if s["track"] == CELLS_TRACK]
+        assert [s["name"] for s in cells] == \
+            [f"allreduce/{a}" for a in self.ALGORITHMS] * 2
+        assert {s["args"]["provenance"] for s in cells} == {SIMULATED}
 
 
 class TestSerialParallelParity:

@@ -287,6 +287,63 @@ class TestTCPServer:
         assert service.stats.queries == 8 * len(coords) * 3
         assert service.stats.errors == 0
 
+    def test_serve_command_answers_concurrent_clients(self, seeded_store):
+        """`repro-mpi serve` itself, as a subprocess on an ephemeral port:
+        8 client threads get the algorithm SelectionTable.lookup picks."""
+        import re
+        import select
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        offline = SelectionTable.from_store(seeded_store)
+        coords = [(coll, 4, size) for coll in ("alltoall", "allreduce")
+                  for size in (8, 64, 512, 1024, 32768, 1 << 20)]
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(seeded_store),
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        failures: list[str] = []
+        answered: list[int] = []
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 60)
+            line = server.stdout.readline() if ready else ""
+            bound = re.search(r"^serving .* on (\S+):(\d+)", line)
+            assert bound, f"no serving line from repro-mpi serve: {line!r}"
+            host, port = bound.group(1), int(bound.group(2))
+
+            def worker() -> None:
+                try:
+                    with SelectionClient(host, port) as client:
+                        for coll, ranks, size in coords * 2:
+                            reply = client.query(coll, ranks, size)
+                            expected = offline.lookup(coll, ranks, size)
+                            if reply["algorithm"] != expected:
+                                failures.append(f"{coll}/{size}: "
+                                                f"{reply['algorithm']}")
+                            answered.append(1)
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    failures.append(repr(exc))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            server.terminate()
+            server.wait(timeout=30)
+            server.stdout.close()
+        assert not failures, failures[:5]
+        assert len(answered) == 8 * len(coords) * 2
+
     def test_wire_bytes_match_in_process_encoding(self, seeded_store):
         """The TCP reply line is byte-identical to encode_reply(handle_request)."""
         import socket

@@ -56,6 +56,26 @@ class TestWaitAny:
         # A few CPU-overhead microseconds on top of the 50 ms sleep.
         assert run.rank_results[0] == pytest.approx(0.05, abs=1e-5)
 
+    def test_equal_completion_times_go_to_the_lowest_index(self, plat):
+        # Two zero-byte messages from ranks of rank 0's node land at the
+        # same instant; whichever is listed first wins, in either order.
+        def prog(ctx):
+            if ctx.rank in (1, 2):
+                yield from ctx.send(0, 0, tag=ctx.rank,
+                                    payload=np.array([float(ctx.rank)]))
+            elif ctx.rank == 0:
+                r1 = ctx.irecv(1, tag=1)
+                r2 = ctx.irecv(2, tag=2)
+                yield ctx.sleep(0.01)  # both already complete
+                assert r1.complete_time == r2.complete_time
+                first = yield ctx.waitany(r1, r2)
+                second = yield ctx.waitany(r2, r1)
+                return first, second
+            return None
+
+        run = run_processes(plat, prog)
+        assert run.rank_results[0] == (0, 0)
+
     def test_sliding_window_consumes_all(self, plat):
         """waitany-driven window: receive 6 messages with 2 slots."""
 
