@@ -160,11 +160,9 @@ def _run_threads(service, mix: list[dict], threads: int,
             for i in range(0, len(shard), batch_size):
                 chunk = shard[i:i + batch_size]
                 t0 = time.perf_counter()
-                try:
-                    service.query_batch(chunk)
-                except Exception:  # noqa: BLE001 - counted, not raised
-                    err_counts[tid] += len(chunk)
+                replies = service.query_batch(chunk)
                 dt = (time.perf_counter() - t0) / len(chunk)
+                err_counts[tid] += sum(not r["ok"] for r in replies)
                 lats.extend([dt] * len(chunk))
             return
         for q in shard:

@@ -23,14 +23,15 @@ Telemetry is always on: every service owns a live
 that exists independently of any run-scoped :func:`repro.obs.session` —
 ``service.query_total{collective,source}`` (labeled per query coordinate
 and resolve layer), ``service.cache_hit_total``,
-``service.fallback_total``, ``service.reload_total``,
-``service.error_total``, the ``service.query_seconds`` per-query latency
-histogram (p50/p99 via :meth:`~repro.obs.metrics.Histogram.quantile`),
-the ``service.batch_seconds`` whole-batch histogram, and the
-``service.cache_entries`` gauge.  The registry feeds ``op:metrics`` on
-the wire protocol and the ``--metrics-port`` Prometheus scrape endpoint;
-the coarse process-local tallies remain on
-:attr:`SelectionService.stats`.  A bounded
+``service.pattern_hit_total``, ``service.fallback_total``,
+``service.reload_total``, ``service.error_total``, the
+``service.query_seconds`` per-query latency histogram (p50/p99 via
+:meth:`~repro.obs.metrics.Histogram.quantile`), the
+``service.batch_seconds`` whole-batch histogram, and the
+``service.cache_entries`` gauge, all updated under the service lock.  The
+registry feeds ``op:metrics`` on the wire protocol and the
+``--metrics-port`` Prometheus scrape endpoint, and it is the only tally:
+:attr:`SelectionService.stats` is a read-only view of it.  A bounded
 :class:`~repro.service.flight.FlightRecorder` keeps the K slowest and
 erroring requests for ``op:debug`` and SIGUSR1 dumps.
 """
@@ -45,7 +46,7 @@ from pathlib import Path
 from threading import Lock
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.service.flight import DEFAULT_CAPACITY, FlightRecorder
 
@@ -59,27 +60,40 @@ SOURCE_STORE = "store"             # the strategy-built rule table
 SOURCE_FALLBACK = "fallback"       # Open MPI fixed decision logic
 
 
-@dataclass
 class ServiceStats:
-    """Coarse process-local tallies (the fine-grained, labeled view lives
-    on :attr:`SelectionService.metrics`)."""
+    """Read-only, O(1) view of the coarse tallies in the service registry.
 
-    queries: int = 0
-    cache_hits: int = 0
-    pattern_hits: int = 0
-    fallbacks: int = 0
-    errors: int = 0
-    reloads: int = 0
+    ``queries`` is the sample count of ``service.query_seconds`` (every
+    query and batch item, refused ones included); the other fields read
+    one ``service.*_total`` counter each.
+    """
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._queries = metrics.histogram("service.query_seconds")
+        self._cache_hits = metrics.counter("service.cache_hit_total")
+        self._pattern_hits = metrics.counter("service.pattern_hit_total")
+        self._fallbacks = metrics.counter("service.fallback_total")
+        self._errors = metrics.counter("service.error_total")
+        self._reloads = metrics.counter("service.reload_total")
+
+    queries = property(lambda self: self._queries.count)
+    cache_hits = property(lambda self: self._cache_hits.value)
+    pattern_hits = property(lambda self: self._pattern_hits.value)
+    fallbacks = property(lambda self: self._fallbacks.value)
+    errors = property(lambda self: self._errors.value)
+    reloads = property(lambda self: self._reloads.value)
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "pattern_hits": self.pattern_hits,
-            "fallbacks": self.fallbacks,
-            "errors": self.errors,
-            "reloads": self.reloads,
-        }
+        return {name: getattr(self, name) for name in (
+            "queries", "cache_hits", "pattern_hits", "fallbacks", "errors",
+            "reloads")}
+
+
+def error_reply(exc: BaseException) -> dict:
+    """The structured error form of any exception: a wire reply, or one
+    entry of :meth:`SelectionService.query_batch`."""
+    name = type(exc).__name__ if isinstance(exc, ReproError) else "InternalError"
+    return {"ok": False, "error": name, "detail": str(exc)}
 
 
 @dataclass
@@ -106,16 +120,15 @@ class SelectionService:
     ``cache_size`` bounds the reply LRU; ``fallback=False`` turns a rule
     miss into a :class:`ConfigurationError` instead of a fixed-decision
     answer; ``reload_interval`` throttles the store-mtime stat (seconds,
-    0 checks on every query).  ``exclude_suspect`` (default on) refuses to
-    serve rules whose every backing cell is lint-flagged suspect (see
-    :mod:`repro.lint`); such queries get the fixed-decision fallback,
-    source-tagged as usual.  ``flight_capacity`` bounds the slow-query
-    flight recorder (slots per buffer, see
-    :class:`~repro.service.flight.FlightRecorder`).
+    0 checks on every query).  Rules whose every backing cell is
+    lint-flagged suspect (see :mod:`repro.lint`) are never served; such
+    queries get the fixed-decision fallback, source-tagged as usual.
+    ``flight_capacity`` bounds the slow-query flight recorder (slots per
+    buffer, see :class:`~repro.service.flight.FlightRecorder`).
     """
 
     #: Max distinct (collective, source) label pairs before new ones
-    #: collapse into "<other>" (see :meth:`_record_query`).
+    #: collapse into "<other>" (see :meth:`_answer`).
     _LABEL_CAP = 64
 
     def __init__(self, store: "TuningStore | str | Path | None" = None, *,
@@ -124,7 +137,6 @@ class SelectionService:
                  fallback: bool = True,
                  watch_store: bool = True,
                  reload_interval: float = 1.0,
-                 exclude_suspect: bool = True,
                  flight_capacity: int = DEFAULT_CAPACITY) -> None:
         if store is None and table is None:
             raise ConfigurationError("service needs a store or a table")
@@ -137,23 +149,22 @@ class SelectionService:
 
             self._store, self._owns_store = open_store(store)
         self._explicit_table = table
-        self.exclude_suspect = bool(exclude_suspect)
         self.cache_size = int(cache_size)
         self.fallback = bool(fallback)
         self.watch_store = bool(watch_store) and self._store is not None
         self.reload_interval = float(reload_interval)
-        self.stats = ServiceStats()
         #: Service-scoped live registry — always on, independent of any
         #: run-scoped obs session (see module docstring for the schema).
         self.metrics = MetricsRegistry()
+        self.stats = ServiceStats(self.metrics)
         self.flight = FlightRecorder(flight_capacity)
-        self.started_wall = time.time()
         self._started_monotonic = time.monotonic()
         # Hot-path instruments, pre-resolved so a query costs dict probes
         # and attribute bumps, never metric-key construction.
         self._h_query = self.metrics.histogram("service.query_seconds")
         self._h_batch = self.metrics.histogram("service.batch_seconds")
         self._c_cache_hit = self.metrics.counter("service.cache_hit_total")
+        self._c_pattern_hit = self.metrics.counter("service.pattern_hit_total")
         self._c_fallback = self.metrics.counter("service.fallback_total")
         self._c_reload = self.metrics.counter("service.reload_total")
         self._c_error = self.metrics.counter("service.error_total")
@@ -197,10 +208,6 @@ class SelectionService:
         """Seconds since this service instance was constructed."""
         return time.monotonic() - self._started_monotonic
 
-    def cache_len(self) -> int:
-        with self._lock:
-            return len(self._cache)
-
     # -- loading and reloading ------------------------------------------- #
 
     def _load(self) -> _Tables:
@@ -212,16 +219,14 @@ class SelectionService:
             return _Tables(table=self._explicit_table,
                            generation=self._generation)
         try:
-            table = self._store.load_table(
-                exclude_suspect=self.exclude_suspect)
+            table = self._store.load_table()
         except StoreError:
             # A store with no rules yet (e.g. a campaign still running) —
             # or one whose rules all derive from lint-flagged cells — is
             # served entirely by the fallback until clean rules appear.
             table = self._explicit_table
         return _Tables(table=table,
-                       pattern_tables=self._store.load_pattern_tables(
-                           exclude_suspect=self.exclude_suspect),
+                       pattern_tables=self._store.load_pattern_tables(),
                        mtime=self._store.mtime(),
                        generation=self._generation)
 
@@ -231,8 +236,8 @@ class SelectionService:
         with self._lock:
             self._tables = tables
             self._cache.clear()
-            self.stats.reloads += 1
-        self._c_reload.inc()
+            self._g_cache_entries.set(0)
+            self._c_reload.inc()
 
     def _maybe_reload(self) -> None:
         if not self.watch_store:
@@ -257,84 +262,55 @@ class SelectionService:
         no layer — store, pattern table, or fallback — can answer.
         """
         started = time.perf_counter()
-        source: str | None = None
-        cache_hit = False
-        error: BaseException | None = None
-        try:
-            key = self._validate(collective, comm_size, msg_bytes, pattern)
-            self._maybe_reload()
-            with self._lock:
-                self.stats.queries += 1
-                reply = self._cache.get(key)
-                if reply is not None:
-                    self._cache.move_to_end(key)
-                    self.stats.cache_hits += 1
-                    cache_hit = True
-                else:
-                    reply = self._resolve(*key)
-                    self._cache[key] = reply
-                    if len(self._cache) > self.cache_size:
-                        self._cache.popitem(last=False)
-                self._g_cache_entries.set(len(self._cache))
-                source = reply["source"]
-                return dict(reply)
-        except Exception as exc:
-            self.stats.errors += 1
-            error = exc
-            raise
-        finally:
-            self._record_query(
-                "query", time.perf_counter() - started, collective, source,
-                cache_hit, error,
-                (collective, comm_size, msg_bytes, pattern))
+        self._maybe_reload()
+        with self._lock:
+            reply, error = self._answer(
+                "query", started, (collective, comm_size, msg_bytes, pattern))
+        if error is not None:
+            raise error
+        return dict(reply)
 
     def query_batch(self, queries: Sequence[dict]) -> list[dict]:
         """Resolve many queries with one reload check and one lock pass.
 
-        Each entry is a dict of :meth:`query` keyword arguments.  The
-        batch is all-or-nothing for *validation* errors (the wire layer
-        degrades per-item instead — see
-        :func:`repro.service.server.handle_request`).  Latency accounting:
-        ``service.query_seconds`` receives one strictly per-query sample
-        per item (its resolve time under the lock), and the whole batch —
-        validation, reload check, lock acquisition — lands in
-        ``service.batch_seconds``.
+        Each entry is a dict of :meth:`query` keyword arguments.  Returns
+        one entry per query, in order: ``{"ok": True, **reply}`` or that
+        item's :func:`error_reply`, so a bad item does not abort the batch
+        (``op:batch`` answers through here).  Each item records its own
+        ``service.query_seconds`` sample (flight op ``batch-item``), and
+        the whole batch one ``service.batch_seconds`` sample.
         """
         started = time.perf_counter()
-        keys = [self._validate(q.get("collective"), q.get("comm_size"),
-                               q.get("msg_bytes"), q.get("pattern"))
-                for q in queries]
         self._maybe_reload()
         replies: list[dict] = []
-        hits = 0
         with self._lock:
-            self.stats.queries += len(keys)
-            for key in keys:
-                item_started = time.perf_counter()
-                reply = self._cache.get(key)
-                if reply is not None:
-                    self._cache.move_to_end(key)
-                    hits += 1
-                    cache_hit = True
-                else:
-                    reply = self._resolve(*key)
-                    self._cache[key] = reply
-                    if len(self._cache) > self.cache_size:
-                        self._cache.popitem(last=False)
-                    cache_hit = False
-                replies.append(dict(reply))
-                self._record_query(
-                    "batch-item", time.perf_counter() - item_started,
-                    key[0], reply["source"], cache_hit, None, key)
-            self._g_cache_entries.set(len(self._cache))
-            self.stats.cache_hits += hits
-        self._h_batch.observe(time.perf_counter() - started)
+            for q in queries:
+                reply, error = self._answer(
+                    "batch-item", time.perf_counter(),
+                    (q.get("collective"), q.get("comm_size"),
+                     q.get("msg_bytes"), q.get("pattern")))
+                replies.append({"ok": True, **reply} if error is None
+                               else error_reply(error))
+            self._h_batch.observe(time.perf_counter() - started)
         return replies
 
-    def _record_query(self, op: str, latency: float, collective,
-                      source: str | None, cache_hit: bool,
-                      error: BaseException | None, coords: tuple) -> None:
-        """Per-query telemetry: latency histogram, labeled counter, flight."""
+    def _answer(self, op: str, started: float, coords: tuple
+                ) -> tuple[dict | None, Exception | None]:
+        """Validate, look up and record one query (lock held).
+
+        Returns ``(reply, None)``, the cached reply itself (callers copy
+        it), or ``(None, error)``.  Every query, refused ones included,
+        records its latency, its counters and, when slow or failed, a
+        flight entry.
+        """
+        reply = error = source = None
+        cache_hit = False
+        try:
+            reply, cache_hit = self._lookup(self._validate(*coords))
+            source = reply["source"]
+        except Exception as exc:  # noqa: BLE001 - recorded, then surfaced
+            error = exc
+        latency = time.perf_counter() - started
         self._h_query.observe(latency)
         if cache_hit:
             self._c_cache_hit.inc()
@@ -345,6 +321,7 @@ class SelectionService:
         # request, and once _LABEL_CAP distinct (collective, source) pairs
         # exist, new pairs collapse into "<other>" — a client spraying
         # unique collective names cannot grow the registry unboundedly.
+        collective = coords[0]
         label = (collective if isinstance(collective, str) else "<invalid>",
                  source or "error")
         counter = self._query_counters.get(label)
@@ -362,12 +339,27 @@ class SelectionService:
         if error is not None or latency > flight.fast_threshold:
             flight.record(
                 op=op, latency=latency,
-                request={"collective": str(coords[0]),
+                request={"collective": str(collective),
                          "comm_size": coords[1], "msg_bytes": coords[2],
                          "pattern": coords[3]},
                 source=source, cache_hit=cache_hit,
                 error=type(error).__name__ if error is not None else None,
                 detail=str(error) if error is not None else None)
+        return reply, error
+
+    def _lookup(self, key: tuple) -> tuple[dict, bool]:
+        """The LRU probe (lock held): returns ``(reply, cache_hit)``,
+        resolving, inserting and evicting on a miss."""
+        cache = self._cache
+        reply = cache.get(key)
+        if reply is not None:
+            cache.move_to_end(key)
+            return reply, True
+        reply = cache[key] = self._resolve(*key)
+        if len(cache) > self.cache_size:
+            cache.popitem(last=False)
+        self._g_cache_entries.set(len(cache))
+        return reply, False
 
     # -- internals ------------------------------------------------------- #
 
@@ -408,7 +400,7 @@ class SelectionService:
                 except ConfigurationError:
                     pass
                 else:
-                    self.stats.pattern_hits += 1
+                    self._c_pattern_hit.inc()
                     return self._reply(collective, comm_size, msg_bytes,
                                        pattern, algorithm, SOURCE_PATTERN,
                                        ptable.strategy_name)
@@ -426,7 +418,6 @@ class SelectionService:
             from repro.collectives.tuned import fixed_decision
 
             algorithm = fixed_decision(collective, comm_size, msg_bytes)
-            self.stats.fallbacks += 1
             self._c_fallback.inc()
             return self._reply(collective, comm_size, msg_bytes, pattern,
                                algorithm, SOURCE_FALLBACK, "")
@@ -452,6 +443,7 @@ class SelectionService:
 __all__ = [
     "SelectionService",
     "ServiceStats",
+    "error_reply",
     "SOURCE_PATTERN",
     "SOURCE_STORE",
     "SOURCE_FALLBACK",

@@ -24,8 +24,10 @@ effective configuration.  Every failure — malformed JSON, a missing
 field, an unknown collective — produces a structured error reply
 ``{"ok": false, "error": "<ExceptionName>", "detail": "..."}`` on the same
 line; the connection stays up and the server never crashes on bad input.
-In a batch, failures degrade per item.  The one exception is a request
-line longer than :data:`MAX_REQUEST_BYTES`: it gets a ``ProtocolError``
+A batch answers its well-formed items through one
+:meth:`~repro.service.core.SelectionService.query_batch` call, and its
+failures degrade per item.  The one exception is a request line longer
+than :data:`MAX_REQUEST_BYTES`: it gets a ``ProtocolError``
 reply naming the limit, and then the server closes the connection.
 
 :class:`SelectionServer` is a thread-per-connection
@@ -47,12 +49,10 @@ import socketserver
 import sys
 import threading
 import time
-from typing import TYPE_CHECKING, Any, TextIO
+from typing import Any, TextIO
 
-from repro.errors import ReproError, ServiceError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.core import SelectionService
+from repro.errors import ServiceError
+from repro.service.core import SelectionService, error_reply
 
 #: Bumped when the wire protocol changes incompatibly.
 PROTOCOL_VERSION = 1
@@ -62,18 +62,13 @@ PROTOCOL_VERSION = 1
 #: the connection is closed, since the rest of it cannot be resynchronized.
 MAX_REQUEST_BYTES = 1 << 20
 
-#: Fields a query request may carry (plus "op").
+#: Fields a query request may carry (plus "op"); all but "pattern" are
+#: required.
 _QUERY_FIELDS = ("collective", "comm_size", "msg_bytes", "pattern")
 
 
 #: Histogram quantiles ``op:metrics`` pre-computes for every histogram.
 METRICS_QUANTILES = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
-
-
-def error_reply(exc: BaseException) -> dict:
-    """The structured error form of any exception."""
-    name = type(exc).__name__ if isinstance(exc, ReproError) else "InternalError"
-    return {"ok": False, "error": name, "detail": str(exc)}
 
 
 class JsonLogger:
@@ -103,7 +98,7 @@ class JsonLogger:
             self._stream.flush()
 
 
-def metrics_reply(service: "SelectionService") -> dict:
+def metrics_reply(service: SelectionService) -> dict:
     """The ``op:metrics`` payload: registry snapshot + histogram quantiles."""
     snapshot = service.metrics.snapshot()
     quantiles: dict[str, dict] = {}
@@ -122,7 +117,7 @@ def metrics_reply(service: "SelectionService") -> dict:
             "uptime_seconds": service.uptime_seconds()}
 
 
-def debug_reply(service: "SelectionService") -> dict:
+def debug_reply(service: SelectionService) -> dict:
     """The ``op:debug`` payload: flight dump, stats, and configuration."""
     return {
         "ok": True,
@@ -134,7 +129,6 @@ def debug_reply(service: "SelectionService") -> dict:
             "strategy": service.strategy,
             "fallback": service.fallback,
             "cache_size": service.cache_size,
-            "exclude_suspect": service.exclude_suspect,
             "watch_store": service.watch_store,
             "reload_interval": service.reload_interval,
             "flight_capacity": service.flight.capacity,
@@ -150,7 +144,19 @@ def encode_reply(reply: dict) -> bytes:
     return json.dumps(reply, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
-def handle_request(service: "SelectionService", request: object) -> dict:
+def _query_shape_error(query: object) -> dict | None:
+    """The ProtocolError reply for a malformed query (or batch entry),
+    or None when it carries every required field."""
+    if not isinstance(query, dict):
+        detail = "batch entries must be objects"
+    elif missing := [f for f in _QUERY_FIELDS[:3] if f not in query]:
+        detail = f"query missing fields {missing}"
+    else:
+        return None
+    return {"ok": False, "error": "ProtocolError", "detail": detail}
+
+
+def handle_request(service: SelectionService, request: object) -> dict:
     """Dispatch one decoded request; always returns a reply dict.
 
     This is the whole protocol: the TCP handler and the in-process client
@@ -164,32 +170,26 @@ def handle_request(service: "SelectionService", request: object) -> dict:
     op = request.get("op", "query")
     try:
         if op == "query":
-            missing = [f for f in ("collective", "comm_size", "msg_bytes")
-                       if f not in request]
-            if missing:
-                return {"ok": False, "error": "ProtocolError",
-                        "detail": f"query missing fields {missing}"}
-            return {"ok": True,
-                    **service.query(**{f: request.get(f)
-                                       for f in _QUERY_FIELDS})}
+            return _query_shape_error(request) or {
+                "ok": True,
+                **service.query(**{f: request.get(f) for f in _QUERY_FIELDS})}
         if op == "batch":
             queries = request.get("queries")
             if not isinstance(queries, list):
                 return {"ok": False, "error": "ProtocolError",
                         "detail": "batch needs a 'queries' list"}
-            replies = []
-            for q in queries:
-                replies.append(handle_request(service, {**q, "op": "query"})
-                               if isinstance(q, dict)
-                               else {"ok": False, "error": "ProtocolError",
-                                     "detail": "batch entries must be objects"})
-            return {"ok": True, "op": "batch", "replies": replies}
+            replies = [_query_shape_error(q) for q in queries]
+            answers = iter(service.query_batch(
+                [q for q, r in zip(queries, replies) if r is None]))
+            return {"ok": True, "op": "batch",
+                    "replies": [r or next(answers) for r in replies]}
         if op == "ping":
             return {"ok": True, "op": "ping", "version": PROTOCOL_VERSION}
         if op == "stats":
             return {"ok": True, "op": "stats",
                     "stats": service.stats.snapshot(),
-                    "cache_entries": service.cache_len(),
+                    "cache_entries": int(service.metrics.gauge(
+                        "service.cache_entries").value),
                     "strategy": service.strategy,
                     "table_generation": service.table_generation,
                     "uptime_seconds": service.uptime_seconds(),
@@ -264,7 +264,7 @@ class _Handler(socketserver.StreamRequestHandler):
 class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
-    service: "SelectionService"
+    service: SelectionService
     logger: "JsonLogger | None"
     slow_log_seconds: float
 
@@ -276,7 +276,7 @@ class SelectionServer:
     error / slow-request logs; ``slow_log_seconds`` sets the latency above
     which a successful request is logged as ``request.slow``."""
 
-    def __init__(self, service: "SelectionService",
+    def __init__(self, service: SelectionService,
                  host: str = "127.0.0.1", port: int = 0, *,
                  logger: "JsonLogger | None" = None,
                  slow_log_seconds: float = 0.1) -> None:
@@ -323,7 +323,7 @@ class SelectionServer:
         self.stop()
 
 
-def install_sighup_reload(service: "SelectionService"):
+def install_sighup_reload(service: SelectionService):
     """Make SIGHUP hot-reload ``service``; returns the previous handler.
 
     Only possible from the main thread (a Python signal-module rule);
@@ -338,7 +338,7 @@ def install_sighup_reload(service: "SelectionService"):
     return signal.signal(signal.SIGHUP, lambda _sig, _frame: service.reload())
 
 
-def install_sigusr1_dump(service: "SelectionService",
+def install_sigusr1_dump(service: SelectionService,
                          stream: TextIO | None = None):
     """Make SIGUSR1 dump the flight recorder as JSON; returns the previous
     handler.

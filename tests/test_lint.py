@@ -373,11 +373,6 @@ class TestServiceExclusion:
             clean = service.query("reduce", 4, 1024.0)
             assert clean["source"] == "store"
             assert clean["algorithm"] == "binomial"
-        with SelectionService(path, watch_store=False,
-                              exclude_suspect=False) as service:
-            raw = service.query("allreduce", 4, 1024.0)
-            assert raw["source"] == "store"
-            assert raw["algorithm"] == "ring"
 
 
 class TestDefaultCatalogue:

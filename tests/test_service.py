@@ -5,8 +5,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import select
 import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +35,31 @@ from repro.service import (
 )
 from repro.service.server import encode_reply
 from repro.store import TuningStore
+
+
+def _cache_entries(service) -> float:
+    return service.metrics.gauge("service.cache_entries").value
+
+
+def _serve(store, *flags: str, stderr=subprocess.STDOUT) -> subprocess.Popen:
+    """Start ``repro-mpi serve STORE --port 0 FLAGS`` as a subprocess of
+    this interpreter, with this checkout's ``src`` on its path."""
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", str(store),
+         "--port", "0", *flags],
+        stdout=subprocess.PIPE, stderr=stderr, text=True, env=env)
+
+
+def _serving_line(server: subprocess.Popen) -> str:
+    """The first stdout line of a ``_serve`` process ('' after 60 s)."""
+    ready, _, _ = select.select([server.stdout], [], [], 60)
+    return server.stdout.readline() if ready else ""
 
 
 def _sweep(collective="alltoall", msg_bytes=1024.0, num_ranks=4) -> SweepResult:
@@ -163,7 +194,7 @@ class TestCaching:
             service.query("alltoall", 4, 1024)    # B
             service.query("alltoall", 4, 8)       # A again: hit, A now MRU
             service.query("allreduce", 4, 8)      # C evicts B
-            assert service.cache_len() == 2
+            assert _cache_entries(service) == 2
             service.query("alltoall", 4, 1024)    # B again: miss
         assert service.stats.cache_hits == 1
 
@@ -180,7 +211,108 @@ class TestCaching:
                        for q in queries]
         with SelectionService(seeded_store, watch_store=False) as service:
             batched = service.query_batch(queries)
-        assert batched == singles
+        assert batched == [{"ok": True, **reply} for reply in singles]
+
+    def test_query_batch_degrades_per_item(self, seeded_store):
+        """An invalid item gets its own structured error; the rest answer."""
+        queries = [
+            {"collective": "alltoall", "comm_size": 4, "msg_bytes": 1024},
+            {"collective": "alltoall", "comm_size": 0, "msg_bytes": 8},
+            {"collective": "allreduce", "comm_size": 4, "msg_bytes": 65536},
+        ]
+        with SelectionService(seeded_store, watch_store=False) as service:
+            replies = service.query_batch(queries)
+            assert service.stats.queries == 3
+            assert service.stats.errors == 1
+        assert [r["ok"] for r in replies] == [True, False, True]
+        with SelectionService(seeded_store, watch_store=False) as service:
+            with pytest.raises(ConfigurationError) as excinfo:
+                service.query("alltoall", 0, 8)
+            assert replies[1] == {"ok": False, "error": "ConfigurationError",
+                                  "detail": str(excinfo.value)}
+            for item, q in zip(replies[::2], queries[::2]):
+                assert item == {"ok": True, **service.query(**q)}
+
+    def test_tallies_stay_exact_under_thread_switch_stress(self, seeded_store):
+        """8 threads mix single, refused and batched queries under a 1 us
+        switch interval; every tally is exact, so no update was lost."""
+        good = {"collective": "alltoall", "comm_size": 4, "msg_bytes": 1024}
+        bad = {"collective": "alltoall", "comm_size": 0, "msg_bytes": 8}
+        rounds = 200
+        unexpected: list[str] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SelectionService(seeded_store, watch_store=False) as service:
+
+                def worker() -> None:
+                    try:
+                        for _ in range(rounds):
+                            service.query(**good)
+                            try:
+                                service.query(**bad)
+                                unexpected.append("refused query answered")
+                            except ConfigurationError:
+                                pass
+                            oks = [r["ok"] for r in
+                                   service.query_batch([good, bad, good])]
+                            if oks != [True, False, True]:
+                                unexpected.append(repr(oks))
+                    except Exception as exc:  # noqa: BLE001 - collected
+                        unexpected.append(repr(exc))
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = service.stats.snapshot()
+                labeled = sum(service.metrics.get(k).value
+                              for k in service.metrics
+                              if k.startswith("service.query_total{"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not unexpected, unexpected[:5]
+        n = 8 * rounds
+        assert stats == {"queries": 5 * n, "cache_hits": 3 * n - 1,
+                         "pattern_hits": 0, "fallbacks": 0,
+                         "errors": 2 * n, "reloads": 0}
+        assert labeled == 5 * n
+
+    def test_in_process_throughput_floor(self, seeded_store):
+        """Warm LRU, 8 threads x 5,000 queries: at least 10k lookups/s, no
+        errors, and op:stats counts every query and hit exactly."""
+        coords = [(coll, 4, size) for coll in ("alltoall", "allreduce")
+                  for size in (8, 64, 512, 1024, 32768, 1 << 20)]
+        per_thread = 5000
+        errors: list[str] = []
+        with SelectionService(seeded_store, watch_store=False) as service:
+            for coll, ranks, size in coords:
+                service.query(coll, ranks, size)       # warm the LRU
+
+            def worker() -> None:
+                try:
+                    for i in range(per_thread):
+                        service.query(*coords[i % len(coords)])
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            started = time.perf_counter()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            elapsed = time.perf_counter() - started
+            stats = InProcessClient(service).stats()["stats"]
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:5]
+        assert stats["errors"] == 0
+        assert stats["queries"] == 8 * per_thread + len(coords) == 40_012
+        assert stats["cache_hits"] == 8 * per_thread == 40_000
+        rate = 8 * per_thread / elapsed
+        assert rate >= 10_000, f"{rate:,.0f} lookups/s is below the floor"
 
 
 class TestProtocol:
@@ -217,9 +349,9 @@ class TestProtocol:
         request = json.loads('{"collective": "alltoall", "comm_size": 16, '
                              f'"msg_bytes": {token}}}')
         with SelectionService(seeded_store) as service:
-            before = service.cache_len()
+            before = _cache_entries(service)
             reply = handle_request(service, request)
-            assert service.cache_len() == before
+            assert _cache_entries(service) == before
         assert reply["ok"] is False
         assert reply["error"] == "ConfigurationError"
         assert "msg_bytes" in reply["detail"]
@@ -290,31 +422,14 @@ class TestTCPServer:
     def test_serve_command_answers_concurrent_clients(self, seeded_store):
         """`repro-mpi serve` itself, as a subprocess on an ephemeral port:
         8 client threads get the algorithm SelectionTable.lookup picks."""
-        import re
-        import select
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
         offline = SelectionTable.from_store(seeded_store)
         coords = [(coll, 4, size) for coll in ("alltoall", "allreduce")
                   for size in (8, 64, 512, 1024, 32768, 1 << 20)]
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(seeded_store),
-             "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=env)
+        server = _serve(seeded_store)
         failures: list[str] = []
         answered: list[int] = []
         try:
-            ready, _, _ = select.select([server.stdout], [], [], 60)
-            line = server.stdout.readline() if ready else ""
+            line = _serving_line(server)
             bound = re.search(r"^serving .* on (\S+):(\d+)", line)
             assert bound, f"no serving line from repro-mpi serve: {line!r}"
             host, port = bound.group(1), int(bound.group(2))
@@ -445,12 +560,22 @@ class TestHotReload:
         assert reply["algorithm"] == "binomial"
         assert service.stats.reloads >= 1
 
+    def test_reload_zeroes_the_cache_entries_gauge(self, seeded_store):
+        with SelectionService(seeded_store, watch_store=False) as service:
+            client = InProcessClient(service)
+            for size in (8, 1024, 65536):
+                client.query("alltoall", 4, size)
+            assert client.stats()["cache_entries"] == 3
+            client.reload()
+            assert _cache_entries(service) == 0
+            assert client.stats()["cache_entries"] == 0
+
     def test_manual_reload_drops_cache(self, seeded_store):
         with SelectionService(seeded_store, watch_store=False) as service:
             service.query("alltoall", 4, 1024)
-            assert service.cache_len() == 1
+            assert _cache_entries(service) == 1
             service.reload()
-            assert service.cache_len() == 0
+            assert _cache_entries(service) == 0
             assert service.stats.reloads == 1
 
     @pytest.mark.skipif(not hasattr(signal, "SIGHUP"),
@@ -649,6 +774,85 @@ class TestOpsEndpoints:
         assert occupancy["slow"] == 1
         assert occupancy["errors"] == 0
 
+    def test_op_stats_reads_the_registry(self, seeded_store):
+        """After a mixed sequence, every op:stats field equals its registry
+        tally, and refused queries count as queries."""
+        with SelectionService(seeded_store, watch_store=False) as service:
+            client = InProcessClient(service)
+            client.query("alltoall", 0, 8, check=False)         # refused
+            client.query("alltoall", 4, 1024)                   # miss
+            assert client.stats()["stats"]["queries"] == 2
+            client.query("alltoall", 4, 1024)                   # hit
+            client.query("alltoall", 4, 1024, "ascending")      # pattern
+            client.query("bcast", 16, 1024)                     # fallback
+            client.query_batch([
+                {"collective": "alltoall", "comm_size": 4, "msg_bytes": 1024},
+                {"collective": "alltoall", "comm_size": -1, "msg_bytes": 8},
+                {"collective": "alltoall"},                     # malformed
+            ])
+            assert client.reload()["reloads"] == 1
+            stats = client.stats()["stats"]
+            snap = service.metrics.snapshot()
+        assert stats == {
+            "queries": snap["service.query_seconds"]["count"],
+            "cache_hits": snap["service.cache_hit_total"]["value"],
+            "pattern_hits": snap["service.pattern_hit_total"]["value"],
+            "fallbacks": snap["service.fallback_total"]["value"],
+            "errors": snap["service.error_total"]["value"],
+            "reloads": snap["service.reload_total"]["value"],
+        }
+        assert stats == {"queries": 7, "cache_hits": 2, "pattern_hits": 1,
+                         "fallbacks": 1, "errors": 2, "reloads": 1}
+        assert stats["queries"] == sum(
+            v["value"] for k, v in snap.items()
+            if k.startswith("service.query_total{"))
+
+    def test_batch_and_single_queries_agree(self, seeded_store):
+        """The same queries sent singly and as one op:batch give
+        byte-identical replies and the same registry tallies; the batch
+        adds one service.batch_seconds sample."""
+        queries = [
+            {"collective": "alltoall", "comm_size": 4, "msg_bytes": 1024},
+            {"collective": "alltoall", "comm_size": 4, "msg_bytes": 1024},
+            {"collective": "alltoall", "comm_size": 4, "msg_bytes": 1024,
+             "pattern": "ascending"},
+            {"collective": "bcast", "comm_size": 16, "msg_bytes": 8},
+            {"collective": "alltoall", "comm_size": 0, "msg_bytes": 8},
+            {"collective": "no_such_collective", "comm_size": 4,
+             "msg_bytes": 8},
+            {"collective": "alltoall", "comm_size": 4},
+        ]
+
+        def tallies(service) -> dict:
+            snap = service.metrics.snapshot()
+            return {k: v.get("value", v.get("count"))
+                    for k, v in snap.items()
+                    if k.startswith("service.query_total{")
+                    or k in ("service.query_seconds",
+                             "service.cache_hit_total",
+                             "service.fallback_total",
+                             "service.pattern_hit_total",
+                             "service.error_total")}
+
+        with SelectionService(seeded_store, watch_store=False) as service:
+            singles = [encode_reply(handle_request(service, dict(q)))
+                       for q in queries]
+            single_tallies = tallies(service)
+            assert service.metrics.histogram(
+                "service.batch_seconds").count == 0
+        with SelectionService(seeded_store, watch_store=False) as service:
+            reply = handle_request(service, {"op": "batch",
+                                             "queries": queries})
+            batch_tallies = tallies(service)
+            assert service.metrics.histogram(
+                "service.batch_seconds").count == 1
+            ops = {e["op"] for e in service.flight.dump()["errors"]}
+        assert [encode_reply(r) for r in reply["replies"]] == singles
+        assert batch_tallies == single_tallies
+        assert single_tallies["service.pattern_hit_total"] == 1
+        assert single_tallies["service.error_total"] == 2
+        assert ops == {"batch-item"}
+
     def test_ops_answer_over_tcp(self, seeded_store):
         with SelectionService(seeded_store, watch_store=False) as service:
             with SelectionServer(service, port=0) as server:
@@ -690,6 +894,43 @@ class TestPrometheusEndToEnd:
         assert hist["type"] == "histogram"
         counts = [v for n, _l, v in hist["samples"] if n.endswith("_count")]
         assert counts == [3]
+
+
+    def test_serve_command_scrape_endpoint(self, seeded_store):
+        """`repro-mpi serve --metrics-port 0 --json-logs` as a subprocess:
+        op:metrics, op:debug, a live /metrics scrape, the serve.start log."""
+        import urllib.request
+
+        from repro.obs.expose import parse_prometheus
+
+        server = _serve(seeded_store, "--metrics-port", "0", "--json-logs",
+                        stderr=subprocess.PIPE)
+        try:
+            line = _serving_line(server)
+            bound = re.search(r"^serving .* on (\S+):(\d+), "
+                              r"metrics on (http://\S+/metrics)$", line)
+            assert bound, f"no serving line from repro-mpi serve: {line!r}"
+            with SelectionClient(bound.group(1), int(bound.group(2))) as client:
+                for msg in (8, 1024, 32768):
+                    client.query("alltoall", 16, msg)
+                metrics = client.metrics()
+                debug = client.debug()
+            text = urllib.request.urlopen(bound.group(3),
+                                          timeout=10).read().decode()
+        finally:
+            server.terminate()
+            _out, log = server.communicate(timeout=30)
+        assert metrics["quantiles"]["service.query_seconds"]["p99"] > 0
+        assert debug["flight"]["slowest"], "flight recorder is empty"
+        families = parse_prometheus(text)
+        total = families["repro_service_query_total"]
+        assert any(labels.get("collective") == "alltoall"
+                   for _n, labels, _v in total["samples"])
+        hist = families["repro_service_query_seconds"]
+        assert hist["type"] == "histogram"
+        assert any(n.endswith("_count") and v >= 3
+                   for n, _l, v in hist["samples"])
+        assert '"event":"serve.start"' in log
 
 
 class TestJsonLoggerAndSignals:
