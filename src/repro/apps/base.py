@@ -2,10 +2,11 @@
 
 An :class:`IterativeProxyApp` alternates noise-perturbed compute phases with
 collective calls — the skeleton of bulk-synchronous applications like the
-NAS benchmarks.  Per-rank compute and MPI time are accounted separately,
-standing in for the paper's mpisee profiling, and
-:meth:`~IterativeProxyApp.trace` records the run's arrival patterns (the
-paper's PMPI tracer, Section V-A).
+NAS benchmarks.  It runs as a :class:`~repro.workloads.spec.WorkloadSpec`
+through the workload layer's one rank program.  Per-rank compute and MPI
+time are accounted separately, standing in for the paper's mpisee
+profiling, and :meth:`~IterativeProxyApp.trace` records the run's arrival
+patterns (the paper's PMPI tracer, Section V-A).
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.collectives import CollArgs, make_input, run_collective
 from repro.obs.analysis import TraceAnalysis
 from repro.obs.collect import capture_telemetry, merge_telemetry
 from repro.obs.context import current as _obs_current, session
@@ -23,6 +22,7 @@ from repro.sim.mpi import run_processes
 from repro.sim.network import NetworkParams
 from repro.sim.noise import NoiseModel
 from repro.sim.platform import MachineSpec, Platform
+from repro.workloads.spec import CollectivePhase, WorkloadSpec, build_plan, rank_program
 
 
 @dataclass
@@ -53,6 +53,12 @@ class AppResult:
 class IterativeProxyApp:
     """compute -> collective [-> collective ...] loop, repeated ``iterations`` times.
 
+    The proxy is a workload builder: :attr:`workload` is a
+    :class:`~repro.workloads.spec.WorkloadSpec` of ``calls_per_iteration``
+    copies of its collective phase with the compute split evenly before
+    each, and :meth:`run` runs it through the workload layer's one rank
+    program.
+
     Parameters
     ----------
     collective, algorithm, msg_bytes:
@@ -80,10 +86,18 @@ class IterativeProxyApp:
     name: str = "proxy"
 
     def __post_init__(self) -> None:
-        if self.iterations <= 0 or self.calls_per_iteration <= 0:
-            raise ConfigurationError("iterations and calls_per_iteration must be positive")
-        if self.compute_per_iteration < 0:
-            raise ConfigurationError("compute_per_iteration must be non-negative")
+        self.workload  # validates every field the spec carries
+
+    @property
+    def workload(self) -> WorkloadSpec:
+        """This proxy as a workload: one measured loop, no warmup."""
+        phase = CollectivePhase(self.collective, msg_bytes=self.msg_bytes,
+                                count=self.count, algorithm=self.algorithm)
+        return WorkloadSpec(
+            name=self.name, phases=(phase,) * self.calls_per_iteration,
+            iterations=self.iterations, warmup=0,
+            compute=self.compute_per_iteration, overlap="split",
+        )
 
     @classmethod
     def from_machine(cls, spec: MachineSpec, nodes: int | None = None,
@@ -95,37 +109,15 @@ class IterativeProxyApp:
 
     def run(self) -> AppResult:
         """Execute the proxy app; returns profile accounting."""
-        p = self.platform.num_ranks
-        args = CollArgs(count=self.count, msg_bytes=self.msg_bytes)
-        inputs = [make_input(self.collective, r, p, self.count) for r in range(p)]
-        compute_chunk = self.compute_per_iteration / self.calls_per_iteration
-        iterations = self.iterations
-        calls = self.calls_per_iteration
-        collective, algorithm = self.collective, self.algorithm
-
-        def prog(ctx):
-            me = ctx.rank
-            compute_total = 0.0
-            mpi_total = 0.0
-            yield from ctx.barrier()
-            start = ctx.time()
-            for _it in range(iterations):
-                for _call in range(calls):
-                    before = ctx.time()
-                    yield ctx.compute(compute_chunk)
-                    entered = ctx.time()
-                    compute_total += entered - before
-                    yield from run_collective(ctx, collective, algorithm, args, inputs[me])
-                    mpi_total += ctx.time() - entered
-            return ctx.time() - start, compute_total, mpi_total
-
+        spec = self.workload
+        prog = rank_program(spec, build_plan(spec.phases, self.platform.num_ranks))
         run = run_processes(self.platform, prog, params=self.params, noise=self.noise)
-        runtimes = np.array([r[0] for r in run.rank_results])
+        results = run.rank_results
         return AppResult(
-            runtime=float(runtimes.max()),
-            rank_compute_time=np.array([r[1] for r in run.rank_results]),
-            rank_mpi_time=np.array([r[2] for r in run.rank_results]),
-            collective_calls=iterations * calls,
+            runtime=float(max(r[0] for r in results)),
+            rank_compute_time=np.array([r[2] for r in results]),
+            rank_mpi_time=np.array([sum(r[1].values()) for r in results]),
+            collective_calls=spec.iterations * len(spec.phases),
         )
 
     def trace(self) -> tuple[AppResult, TraceAnalysis]:

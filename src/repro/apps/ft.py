@@ -11,13 +11,10 @@ arrival skew emerges) and ``transposes_per_iteration`` Alltoall calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.apps.base import IterativeProxyApp
-from repro.sim.mpi import ProcContext  # noqa: F401  (re-export convenience)
-from repro.sim.network import NetworkParams
-from repro.sim.noise import NoiseModel
-from repro.sim.platform import MachineSpec, Platform
+from repro.sim.platform import MachineSpec
 
 #: The message size the paper traces for FT class D on 1024 ranks.
 FT_MSG_BYTES = 32_768.0
@@ -65,9 +62,6 @@ class FTProxy(IterativeProxyApp):
     compute_per_iteration: float = 1.2e-3
     name: str = "ft"
 
-    # IterativeProxyApp's __init__/run are inherited unchanged; this class
-    # fixes FT's communication structure and message size.
-
     @classmethod
     def for_class(
         cls,
@@ -89,20 +83,13 @@ class FTProxy(IterativeProxyApp):
         and compute from the class, so communication/compute ratios follow
         the real benchmark as the class or rank count changes.
         """
-        platform = spec.platform.scaled(nodes, cores_per_node)
-        p = platform.num_ranks
+        ft = cls.from_machine(spec, nodes, cores_per_node, seed=seed,
+                              algorithm=algorithm, iterations=iterations)
+        p = ft.platform.num_ranks
+        msg_bytes = ft_message_bytes(problem_class, p)
         nx, ny, nz = FT_CLASSES[problem_class.upper()]
-        points_per_rank = nx * ny * nz / p
-        noise = NoiseModel(spec.noise_profile, p, seed=seed)
-        return cls(
-            platform=platform,
-            params=NetworkParams(**spec.network),
-            noise=noise,
-            algorithm=algorithm,
-            iterations=iterations,
-            msg_bytes=ft_message_bytes(problem_class, p),
-            compute_per_iteration=points_per_rank * seconds_per_point,
-        )
+        return replace(ft, msg_bytes=msg_bytes,
+                       compute_per_iteration=nx * ny * nz / p * seconds_per_point)
 
     @classmethod
     def class_d_scaled(
@@ -115,12 +102,5 @@ class FTProxy(IterativeProxyApp):
         iterations: int = 20,
     ) -> "FTProxy":
         """FT with the paper's class-D per-pair message size on a scaled machine."""
-        platform = spec.platform.scaled(nodes, cores_per_node)
-        noise = NoiseModel(spec.noise_profile, platform.num_ranks, seed=seed)
-        return cls(
-            platform=platform,
-            params=NetworkParams(**spec.network),
-            noise=noise,
-            algorithm=algorithm,
-            iterations=iterations,
-        )
+        return cls.from_machine(spec, nodes, cores_per_node, seed=seed,
+                                algorithm=algorithm, iterations=iterations)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.collectives import CollArgs, make_input, run_collective
+from repro.apps.base import IterativeProxyApp
+from repro.collectives import CollArgs, make_input
 from repro.collectives.nonblocking import icollective, wait_collective
 from repro.experiments.common import ExperimentConfig
 from repro.reporting.ascii import render_table
@@ -49,8 +48,9 @@ WORKLOADS = {
 NOISE_LEVELS = ("none", "moderate", "noisy")
 
 
-def _run_variant(platform, params, noise, workload_key: str, iterations: int,
-                 nonblocking: bool) -> float:
+def _run_nonblocking(platform, params, noise, workload_key: str,
+                     iterations: int) -> float:
+    """start collective(previous data) -> compute -> wait, pipelined."""
     collective, algorithm, msg_bytes, count, compute = WORKLOADS[workload_key]
     p = platform.num_ranks
     args = CollArgs(count=count, msg_bytes=msg_bytes)
@@ -60,22 +60,17 @@ def _run_variant(platform, params, noise, workload_key: str, iterations: int,
         me = ctx.rank
         yield from ctx.barrier()
         start = ctx.time()
-        if nonblocking:
-            handle = None
-            for _it in range(iterations):
-                next_handle = icollective(
-                    ctx, collective, algorithm, args, inputs[me],
-                    tag_offset=_it % 2,
-                )
-                yield ctx.compute(compute)
-                if handle is not None:
-                    yield from wait_collective(ctx, handle)
-                handle = next_handle
-            yield from wait_collective(ctx, handle)
-        else:
-            for _it in range(iterations):
-                yield ctx.compute(compute)
-                yield from run_collective(ctx, collective, algorithm, args, inputs[me])
+        handle = None
+        for _it in range(iterations):
+            next_handle = icollective(
+                ctx, collective, algorithm, args, inputs[me],
+                tag_offset=_it % 2,
+            )
+            yield ctx.compute(compute)
+            if handle is not None:
+                yield from wait_collective(ctx, handle)
+            handle = next_handle
+        yield from wait_collective(ctx, handle)
         return ctx.time() - start
 
     run = run_processes(platform, prog, params=params, noise=noise)
@@ -89,16 +84,22 @@ def run(config: ExperimentConfig | None = None) -> NonblockingResult:
     params = NetworkParams(**spec.network)
     iterations = 5 if config.fast else 15
     result = NonblockingResult(machine=config.machine, num_ranks=platform.num_ranks)
-    for workload in WORKLOADS:
+    for workload, (collective, algorithm, msg_bytes, count,
+                   compute) in WORKLOADS.items():
         for noise_name in NOISE_LEVELS:
             noise = (
                 NoiseModel(noise_name, platform.num_ranks, seed=config.seed)
                 if noise_name != "none" else None
             )
-            blocking = _run_variant(platform, params, noise, workload,
-                                    iterations, nonblocking=False)
-            nonblocking = _run_variant(platform, params, noise, workload,
-                                       iterations, nonblocking=True)
+            # Both variants draw from one noise model, blocking first.
+            blocking = IterativeProxyApp(
+                platform, collective, algorithm, msg_bytes,
+                iterations=iterations, calls_per_iteration=1,
+                compute_per_iteration=compute, count=count, params=params,
+                noise=noise,
+            ).run().runtime
+            nonblocking = _run_nonblocking(platform, params, noise, workload,
+                                           iterations)
             result.cells[(workload, noise_name)] = (blocking, nonblocking)
     return result
 

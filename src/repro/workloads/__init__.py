@@ -4,8 +4,8 @@ This package turns the single-scenario evaluation of the paper into a
 scenario *zoo*:
 
 * :mod:`repro.workloads.spec` — the declarative :class:`WorkloadSpec` model
-  (phases, schedules, compute, warmup, overlap modes) and the shared
-  iteration body every runner uses.
+  (phases, schedules, compute, warmup, overlap modes) and the one rank
+  program every runner, and the :mod:`repro.apps` proxies, run.
 * :mod:`repro.workloads.zoo` — registered built-in generators (PARAM-style
   sweeps, DLRM embedding alltoallv, DDP buckets, ragged allgatherv, the
   mixed timestep).
@@ -25,6 +25,7 @@ from repro.workloads.spec import (
     WorkloadSpec,
     build_plan,
     iteration_body,
+    rank_program,
 )
 from repro.workloads.zoo import (
     WorkloadInfo,
@@ -52,6 +53,7 @@ __all__ = [
     "WorkloadSpec",
     "build_plan",
     "iteration_body",
+    "rank_program",
     "WorkloadInfo",
     "register_workload",
     "list_workloads",

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ProtocolError
 from repro.bench.micro import MicroBenchmark
 from repro.obs.analysis import TraceAnalysis
@@ -30,7 +28,7 @@ from repro.obs.context import current as _obs_current
 from repro.selection.table import SelectionTable
 from repro.sim.mpi import TAG_BARRIER, TAG_P2P, dissemination_barrier, run_processes
 from repro.workloads.runner import resolve_algorithm
-from repro.workloads.spec import WorkloadSpec, build_plan, iteration_body
+from repro.workloads.spec import WorkloadSpec, build_plan, fold_ranks, rank_program
 
 
 class GroupContext:
@@ -189,52 +187,28 @@ def run_contended(
         raise ConfigurationError("labels must be distinct, one per workload")
     progs: list = [None] * p_total
     rank_sets = [tuple(range(j, p_total, njobs)) for j in range(njobs)]
+    plans = []
     for spec, label, ranks in zip(workloads, labels, rank_sets):
         gp = len(ranks)
         plan = build_plan(spec.phases, gp,
                           lambda ph, gp=gp: resolve_algorithm(ph, gp, table))
-
-        def make_prog(spec=spec, label=label, ranks=ranks, plan=plan):
-            def prog(ctx):
-                g = GroupContext(ctx, ranks)
-                my_plan = [(key, coll, algo, args, inputs[g.rank])
-                           for key, coll, algo, args, inputs in plan]
-                phase_time = {key: 0.0 for key, *_ in plan}
-                yield from g.barrier()
-                start = g.time()
-                for _it in range(spec.warmup + spec.iterations):
-                    yield from iteration_body(g, my_plan, spec.compute,
-                                              spec.overlap, phase_time,
-                                              label_prefix=label)
-                return g.time() - start, phase_time
-
-            return prog
-
+        plans.append(plan)
+        prog = rank_program(spec, plan, label_prefix=label)
         for r in ranks:
-            progs[r] = make_prog()
+            progs[r] = lambda ctx, prog=prog, ranks=ranks: prog(
+                GroupContext(ctx, ranks))
     octx = _obs_current()
     with octx.wall_span("workload.contend", track="workload",
                         args={"jobs": list(labels), "ranks": p_total}):
         run = run_processes(bench.platform, progs, params=bench.params)
     jobs = []
-    for spec, label, ranks in zip(workloads, labels, rank_sets):
-        results = [run.rank_results[r] for r in ranks]
-        plan_keys = list(results[0][1])
+    for spec, label, ranks, plan in zip(workloads, labels, rank_sets, plans):
+        runtime, phase_mpi = fold_ranks([run.rank_results[r] for r in ranks])
         jobs.append(JobResult(
-            label=label, spec=spec, ranks=ranks,
-            runtime=float(max(r[0] for r in results)),
-            phase_mpi_time={
-                key: float(np.mean([r[1][key] for r in results]))
-                for key in plan_keys
-            },
+            label=label, spec=spec, ranks=ranks, runtime=runtime,
+            resolved={key: algorithm for key, _c, algorithm, _a, _i in plan},
+            phase_mpi_time=phase_mpi,
         ))
-    # Resolved algorithms are recomputed cheaply (build_plan already did the
-    # lookups; redoing them avoids threading tuples through the closures).
-    for job in jobs:
-        gp = len(job.ranks)
-        job.resolved = {
-            ph.key: resolve_algorithm(ph, gp, table) for ph in job.spec.phases
-        }
     attribution: list[dict] = []
     if octx.enabled and getattr(octx, "links", None) is not None:
         attribution = TraceAnalysis.from_context(octx).link_attribution()

@@ -17,6 +17,7 @@ under the *recorded* arrival pattern.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from repro.errors import TraceFormatError
@@ -54,10 +55,17 @@ def _phase_sequence(ana: TraceAnalysis) -> tuple[list[tuple[str, float]], int]:
         track = s["track"]
         if not _is_rank_track(track) or "/" not in s["name"]:
             continue
-        args = s.get("args") or {}
+        raw = (s.get("args") or {}).get("msg_bytes", 0.0)
+        try:
+            msg_bytes = float(raw)
+        except (TypeError, ValueError):
+            msg_bytes = math.nan
+        if not (math.isfinite(msg_bytes) and msg_bytes >= 0):
+            raise TraceFormatError(
+                f"span {s['name']!r} on {track}: msg_bytes must be a finite "
+                f"size >= 0, got {raw!r}")
         per_rank.setdefault(int(track[5:]), []).append(
-            (float(s["start"]), s["name"], float(args.get("msg_bytes", 0.0)))
-        )
+            (float(s["start"]), s["name"], msg_bytes))
     if not per_rank:
         raise TraceFormatError("trace contains no collective spans to replay")
     ref = sorted(per_rank[min(per_rank)])

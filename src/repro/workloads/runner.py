@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.bench.executor import CellExecutor, CellSpec
 from repro.bench.micro import MicroBenchmark
@@ -30,7 +28,7 @@ from repro.patterns.generator import ArrivalPattern
 from repro.selection.table import SelectionTable
 from repro.sim.mpi import run_processes
 from repro.sim.noise import NoiseModel
-from repro.workloads.spec import WorkloadSpec, build_plan, iteration_body
+from repro.workloads.spec import WorkloadSpec, build_plan, fold_ranks, rank_program
 
 
 def resolve_algorithm(phase, num_ranks: int,
@@ -96,52 +94,28 @@ def run_workload(
             f"workload pattern has {pattern.num_ranks} ranks, platform has {p}"
         )
     plan = build_plan(spec.phases, p, lambda ph: resolve_algorithm(ph, p, table))
-    resolved = {key: algorithm for key, _c, algorithm, _a, _i in plan}
     noise = (NoiseModel(bench.noise_profile, p, seed=bench.seed)
              if bench.noise_profile != "none" else None)
-    skews = pattern.skews if pattern is not None else None
-    warmup, measured = spec.warmup, spec.iterations
-    compute, overlap = spec.compute, spec.overlap
+    # The precise per-pattern measurement happens in the phase cells below,
+    # where MicroBenchmark imposes the skews per repetition.
+    prog = rank_program(spec, plan,
+                        skews=pattern.skews if pattern is not None else None,
+                        label_prefix=label)
     octx = _obs_current()
-
-    def prog(ctx):
-        me = ctx.rank
-        my_plan = [(key, coll, algo, args, inputs[me])
-                   for key, coll, algo, args, inputs in plan]
-        phase_time = {key: 0.0 for key, *_ in plan}
-        yield from ctx.barrier()
-        for _it in range(warmup):
-            yield from iteration_body(ctx, my_plan, compute, overlap,
-                                      None, label_prefix=label)
-        yield from ctx.barrier()
-        # The arrival pattern skews each rank's entry into the measured
-        # loop; the precise per-pattern measurement happens in the phase
-        # cells below, where MicroBenchmark imposes skews per repetition.
-        if skews is not None:
-            yield ctx.sleep(float(skews[me]))
-        start = ctx.time()
-        for _it in range(measured):
-            yield from iteration_body(ctx, my_plan, compute, overlap,
-                                      phase_time, label_prefix=label)
-        return ctx.time() - start, phase_time
-
     with octx.wall_span(
         "workload.run", track="workload",
         args={"workload": spec.name, "phases": len(spec.phases),
-              "iterations": measured, "overlap": overlap},
+              "iterations": spec.iterations, "overlap": spec.overlap},
     ):
         run = run_processes(bench.platform, prog, params=bench.params,
                             noise=noise)
     if octx.enabled:
         octx.metrics.counter("workload.runs", {"workload": spec.name}).inc()
-    runtime = float(max(r[0] for r in run.rank_results))
-    phase_mpi = {
-        key: float(np.mean([r[1][key] for r in run.rank_results]))
-        for key, *_ in plan
-    }
+    runtime, phase_mpi = fold_ranks(run.rank_results)
 
     result = WorkloadRunResult(
-        spec=spec, runtime=runtime, resolved=resolved,
+        spec=spec, runtime=runtime,
+        resolved={key: algorithm for key, _c, algorithm, _a, _i in plan},
         phase_mpi_time=phase_mpi,
     )
     if not cells:

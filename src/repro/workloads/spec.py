@@ -21,7 +21,10 @@ workloads serialize into run manifests and replay files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.bench.executor import PatternSpec
@@ -60,8 +63,13 @@ class CollectivePhase:
     op: str = "sum"
 
     def __post_init__(self) -> None:
-        if self.msg_bytes < 0 or self.count <= 0:
-            raise ConfigurationError("invalid phase parameters")
+        for name in ("msg_bytes", "item_bytes"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be a finite size >= 0, got {value!r}")
+        if self.count <= 0:
+            raise ConfigurationError(f"count must be positive, got {self.count}")
         if self.counts is not None:
             object.__setattr__(self, "counts", freeze_counts(self.counts))
             if self.collective not in VECTOR_FAMILIES:
@@ -138,8 +146,9 @@ class WorkloadSpec:
             raise ConfigurationError("workload needs at least one phase")
         if self.iterations <= 0 or self.warmup < 0:
             raise ConfigurationError("iterations must be > 0, warmup >= 0")
-        if self.compute < 0:
-            raise ConfigurationError("compute must be non-negative")
+        if not (math.isfinite(self.compute) and self.compute >= 0):
+            raise ConfigurationError(
+                f"compute must be finite seconds >= 0, got {self.compute!r}")
         if self.overlap not in OVERLAP_MODES:
             raise ConfigurationError(
                 f"unknown overlap mode {self.overlap!r}; "
@@ -187,10 +196,10 @@ class WorkloadSpec:
 
 
 # --------------------------------------------------------------------------- #
-# Execution plan + shared iteration body
+# Execution plan, iteration body and the one rank program
 # --------------------------------------------------------------------------- #
 
-def build_plan(phases, p: int, resolve) -> list[tuple]:
+def build_plan(phases, p: int, resolve=None) -> list[tuple]:
     """Resolve phases into ``(key, collective, algorithm, args, inputs)``.
 
     ``resolve(phase)`` supplies the algorithm when the phase leaves it open.
@@ -221,65 +230,110 @@ def build_plan(phases, p: int, resolve) -> list[tuple]:
     return plan
 
 
-def _phase_label(prefix: str | None, collective: str, algorithm: str):
-    return f"{prefix}:{collective}/{algorithm}" if prefix else None
+def _compute(ctx, seconds: float, computed: list):
+    """Generator: ``seconds`` of work; appends the time it took."""
+    if seconds > 0:
+        before = ctx.time()
+        yield ctx.compute(seconds)
+        computed.append(ctx.time() - before)
+
+
+def _collective(ctx, entry, label_prefix):
+    """Generator: one plan entry; returns its key and MPI seconds."""
+    key, collective, algorithm, args, data = entry
+    before = ctx.time()
+    yield from run_collective(
+        ctx, collective, algorithm, args, data,
+        label=f"{label_prefix}:{collective}/{algorithm}" if label_prefix else None,
+    )
+    return key, ctx.time() - before
 
 
 def iteration_body(ctx, plan, compute: float, overlap: str,
-                   phase_time: dict | None = None,
                    label_prefix: str | None = None):
     """Generator: one workload iteration on one rank.
 
     ``plan`` entries are ``(key, collective, algorithm, args, data)`` with
-    ``data`` already this rank's input.  ``phase_time`` (when given)
-    accumulates per-phase MPI seconds; ``label_prefix`` namespaces link
-    attribution (multi-job runs).  This is the single implementation of the
-    overlap modes; the workload runner and the contention runner both route
-    through it.
+    ``data`` already this rank's input; ``label_prefix`` namespaces link
+    attribution (multi-job runs).  Returns ``(timings, computed)``: one
+    ``(key, MPI seconds)`` pair per phase and the duration of each compute
+    block, in the order they ran.  This is the single implementation of
+    the overlap modes.
     """
-    if overlap == "sequential":
-        if compute > 0:
-            yield ctx.compute(compute)
-        for key, collective, algorithm, args, data in plan:
-            before = ctx.time()
-            yield from run_collective(
-                ctx, collective, algorithm, args, data,
-                label=_phase_label(label_prefix, collective, algorithm),
-            )
-            if phase_time is not None:
-                phase_time[key] += ctx.time() - before
-    elif overlap == "split":
-        chunk = compute / len(plan)
-        for key, collective, algorithm, args, data in plan:
-            if chunk > 0:
-                yield ctx.compute(chunk)
-            before = ctx.time()
-            yield from run_collective(
-                ctx, collective, algorithm, args, data,
-                label=_phase_label(label_prefix, collective, algorithm),
-            )
-            if phase_time is not None:
-                phase_time[key] += ctx.time() - before
-    else:  # interleaved
-        handles = []
-        for entry in plan:
-            def comm(cctx, entry=entry):
-                key, collective, algorithm, args, data = entry
-                before = cctx.time()
-                yield from run_collective(
-                    cctx, collective, algorithm, args, data,
-                    label=_phase_label(label_prefix, collective, algorithm),
-                )
-                return key, cctx.time() - before
-
-            handles.append(ctx.start_fiber(comm))
-        if compute > 0:
-            yield ctx.compute(compute)
+    computed: list[float] = []
+    if overlap == "interleaved":
+        handles = [
+            ctx.start_fiber(lambda cctx, entry=entry:
+                            _collective(cctx, entry, label_prefix))
+            for entry in plan
+        ]
+        yield from _compute(ctx, compute, computed)
         yield ctx.waitall(handles)
-        if phase_time is not None:
-            for handle in handles:
-                key, elapsed = handle.result
-                phase_time[key] += elapsed
+        return [handle.result for handle in handles], computed
+    # "sequential" computes once up front; "split" slices the budget
+    # evenly before each phase.
+    head, chunk = ((compute, 0.0) if overlap == "sequential"
+                   else (0.0, compute / len(plan)))
+    yield from _compute(ctx, head, computed)
+    timings = []
+    for entry in plan:
+        yield from _compute(ctx, chunk, computed)
+        timings.append((yield from _collective(ctx, entry, label_prefix)))
+    return timings, computed
+
+
+def rank_program(spec: WorkloadSpec, plan, skews=None,
+                 label_prefix: str | None = None):
+    """The one workload loop, as a ``prog(ctx)`` for ``run_processes``.
+
+    Every rank runs a barrier, ``spec.warmup`` unmeasured iterations, a
+    second barrier only if there were warmup iterations, its arrival skew
+    ``skews[rank]`` (when given), and then ``spec.iterations`` measured
+    iterations.  It returns ``(seconds, phase_time, compute)``: the measured
+    loop's duration, MPI seconds per plan key, and compute seconds summed
+    block by block.  The workload runner, the contention runner (through a
+    job-local :class:`~repro.workloads.contention.GroupContext`) and the
+    proxy applications (:mod:`repro.apps`) all run this program.
+    """
+    warmup, iterations = spec.warmup, spec.iterations
+    compute, overlap = spec.compute, spec.overlap
+
+    def prog(ctx):
+        me = ctx.rank
+        my_plan = [(key, coll, algo, args, inputs[me])
+                   for key, coll, algo, args, inputs in plan]
+        yield from ctx.barrier()
+        for _it in range(warmup):
+            yield from iteration_body(ctx, my_plan, compute, overlap,
+                                      label_prefix)
+        if warmup:
+            yield from ctx.barrier()
+        # The arrival pattern skews each rank's entry into the measured loop.
+        if skews is not None:
+            yield ctx.sleep(float(skews[me]))
+        phase_time = {entry[0]: 0.0 for entry in plan}
+        compute_time = 0.0
+        start = ctx.time()
+        for _it in range(iterations):
+            timings, computed = yield from iteration_body(
+                ctx, my_plan, compute, overlap, label_prefix)
+            for key, seconds in timings:
+                phase_time[key] += seconds
+            for seconds in computed:
+                compute_time += seconds
+        return ctx.time() - start, phase_time, compute_time
+
+    return prog
+
+
+def fold_ranks(rank_results) -> tuple[float, dict[str, float]]:
+    """A job's runtime (its slowest rank) and mean MPI seconds per phase,
+    from the :func:`rank_program` returns of its ranks."""
+    runtime = float(max(r[0] for r in rank_results))
+    return runtime, {
+        key: float(np.mean([r[1][key] for r in rank_results]))
+        for key in rank_results[0][1]
+    }
 
 
 __all__ = [
@@ -287,5 +341,7 @@ __all__ = [
     "CollectivePhase",
     "WorkloadSpec",
     "build_plan",
+    "fold_ranks",
     "iteration_body",
+    "rank_program",
 ]

@@ -49,6 +49,22 @@ class TestIterativeProxyApp:
         with pytest.raises(ConfigurationError):
             IterativeProxyApp(plat, "alltoall", "bruck", 64, compute_per_iteration=-1)
 
+    @pytest.mark.parametrize("field", ["msg_bytes", "compute_per_iteration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = {"msg_bytes": 64.0, field: value}
+        with pytest.raises(ConfigurationError):
+            IterativeProxyApp(Platform("t", nodes=1, cores_per_node=2),
+                              "alltoall", "bruck", **kwargs)
+
+    def test_runs_as_its_workload(self):
+        app = FTProxy(platform=Platform("t", nodes=1, cores_per_node=2),
+                      iterations=3, compute_per_iteration=1e-3)
+        spec = app.workload
+        assert [ph.key for ph in spec.phases] == ["alltoall@32768B"] * 2
+        assert (spec.iterations, spec.warmup, spec.compute, spec.overlap) == (
+            3, 0, 1e-3, "split")
+
 
 class TestFTProxy:
     def test_paper_message_size_default(self):

@@ -432,6 +432,29 @@ class TestProfile:
         np.testing.assert_allclose(derived.skews, written.skews, rtol=1e-9,
                                    atol=1e-9 * written.max_skew)
 
+    @pytest.mark.parametrize("span", [None, "allgatherv/ring"],
+                             ids=["regular", "vector"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "many"])
+    def test_replay_of_a_bad_span_size_is_one_error_line(
+            self, capsys, tmp_path, monkeypatch, value, span):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "--app", "cg", "--nodes", "1", "--cores", "2",
+                     "--iterations", "1"]) == 0
+        capsys.readouterr()
+        trace = json.loads((tmp_path / "app_trace.json").read_text())
+        for event in trace["traceEvents"]:
+            if "msg_bytes" in event.get("args", {}):
+                event["args"]["msg_bytes"] = (value if value == "many"
+                                              else float(value))
+                event["name"] = span or event["name"]
+        (tmp_path / "app_trace.json").write_text(json.dumps(trace))
+        assert main(["workload", "replay", "app_trace.json", "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "msg_bytes" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     def test_fig1_metrics_count_the_traced_run(self, capsys, tmp_path):
         metrics = tmp_path / "m.json"
         assert main(["fig1", "--fast", "--metrics-out", str(metrics)]) == 0

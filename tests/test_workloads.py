@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,13 @@ class TestCollectivePhase:
         assert ph.effective_msg_bytes == pytest.approx(20 * 8.0)
         assert ph.key == "allgatherv@160B"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("field", ["msg_bytes", "item_bytes"])
+    def test_non_finite_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CollectivePhase("allreduce", **{field: value})
+
     def test_round_trip(self):
         for ph in (
             CollectivePhase("allreduce", 4096.0, count=8, op="max"),
@@ -108,6 +117,11 @@ class TestWorkloadSpec:
             WorkloadSpec(name="idle", phases=MIXED_PHASES, iterations=0)
         with pytest.raises(ConfigurationError):
             CollectivePhase("alltoall", -1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_compute_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="compute"):
+            WorkloadSpec(name="bad", phases=MIXED_PHASES, compute=value)
 
     def test_collectives_property(self):
         assert self._spec().collectives == ("allreduce", "alltoallv")
@@ -381,6 +395,23 @@ class TestContention:
         for job, spec in zip(result.jobs, specs):
             assert set(job.resolved) == {ph.key for ph in spec.phases}
             assert all(t > 0 for t in job.phase_mpi_time.values())
+
+    def test_warmup_is_excluded_from_job_times(self, bench):
+        """Warmup iterations run before a job's measured loop, not in it."""
+        def contend(warmup):
+            specs = [dataclasses.replace(
+                build_workload(name, bench.num_ranks // 2, fast=True),
+                warmup=warmup) for name in ("halo_mix", "dlrm_embedding")]
+            return run_contended(specs, bench)
+
+        once, thrice = contend(1), contend(3)
+        assert thrice.final_time > once.final_time  # the warmup did run
+        for a, b in zip(once.jobs, thrice.jobs):
+            # Were warmups counted, the ratios would be about 6/4 for
+            # halo_mix (3 measured iterations) and 5/3 for dlrm (2).
+            assert b.runtime < 1.2 * a.runtime, a.label
+            for key, seconds in a.phase_mpi_time.items():
+                assert b.phase_mpi_time[key] < 1.2 * seconds, (a.label, key)
 
     def test_validation(self, bench):
         spec = build_workload("param_sweep", 4, fast=True)
