@@ -28,8 +28,10 @@ ITERATIONS = 12
 MSG_BYTES = 1 << 20  # 1 MiB Allreduce
 
 
-def run_loop(platform, params, noise, compute, nonblocking: bool) -> float:
+def run_loop(platform, params, noise_name, compute, nonblocking: bool) -> float:
     p = platform.num_ranks
+    # A fresh model of one seed per run, so both variants see the same noise.
+    noise = NoiseModel(noise_name, p, seed=3) if noise_name != "none" else None
     args = CollArgs(count=64, msg_bytes=float(MSG_BYTES))
     inputs = [make_input("allreduce", r, p, 64) for r in range(p)]
 
@@ -64,10 +66,8 @@ def main() -> None:
     rows = []
     for compute_ms in (0.5, 2.0, 8.0):
         for noise_name in ("none", "moderate", "noisy"):
-            noise = (NoiseModel(noise_name, platform.num_ranks, seed=3)
-                     if noise_name != "none" else None)
-            blocking = run_loop(platform, params, noise, compute_ms * 1e-3, False)
-            overlap = run_loop(platform, params, noise, compute_ms * 1e-3, True)
+            blocking = run_loop(platform, params, noise_name, compute_ms * 1e-3, False)
+            overlap = run_loop(platform, params, noise_name, compute_ms * 1e-3, True)
             rows.append([
                 f"{compute_ms:.1f}",
                 noise_name,

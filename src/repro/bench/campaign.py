@@ -100,9 +100,10 @@ class TuningCampaign:
     jobs: int = 1
     #: Enables the on-disk result cache when set (see repro.bench.executor).
     cache_dir: str | Path | None = None
-    #: Persistent tuning-store sink (a repro.store.TuningStore or a path).
-    #: When set, every cell, sweep, and built rule is ingested into the
-    #: store; content addressing makes re-runs idempotent.
+    #: Tuning store (a repro.store.TuningStore or a path).  When set, the
+    #: finished campaign ingests every sweep with its cells, cache hits
+    #: included, and every built rule; content addressing makes re-runs
+    #: idempotent.
     store: object = None
     #: Lint the campaign's data against the repro.lint guidelines after the
     #: run (and after the store ingest, so findings can mark store cells
@@ -148,13 +149,8 @@ class TuningCampaign:
         self._store_handle = None
 
     def make_executor(self) -> CellExecutor:
-        """The executor this campaign's cells run through.
-
-        Shares the campaign's tuning store (when configured) so per-cell
-        results and campaign-level sweeps/rules land in one connection.
-        """
-        return CellExecutor(jobs=self.jobs, cache_dir=self.cache_dir,
-                            store=self._open_store())
+        """The executor this campaign's cells run through."""
+        return CellExecutor(jobs=self.jobs, cache_dir=self.cache_dir)
 
     def run(self, progress=None, executor: CellExecutor | None = None) -> CampaignResult:
         """Execute the campaign; ``progress(collective, size)`` is called per cell.
@@ -167,6 +163,7 @@ class TuningCampaign:
         """
         from repro.selection.table import SelectionTable
 
+        store = self._open_store()  # a bad store fails before any cell runs
         if executor is None:
             executor = self.make_executor()
         table = SelectionTable(strategy_name=self.strategy.name)
@@ -227,7 +224,6 @@ class TuningCampaign:
             winner = table.add_sweep(sweep, self.strategy)
             result.sweeps[(coll, float(size))] = sweep
             result.winners[(coll, float(size))] = winner
-        store = self._open_store()
         if store is not None:
             from repro.store import harness_hash
 

@@ -24,12 +24,12 @@ once per sweep group: a cell whose algorithm falls back wholesale to one
 that already ran in the group (:func:`~repro.collectives.schedule_of`)
 reuses that run.
 
-Environment overrides (picked up when a sweep builds its default executor):
-``REPRO_JOBS`` sets the worker count, ``REPRO_CACHE_DIR`` enables the
-cache, and ``REPRO_STORE`` sinks every finished cell into a persistent
-:class:`~repro.store.TuningStore` — so re-runs of ``benchmarks/bench_*.py``
-and the experiment drivers can skip already-simulated cells and accumulate
-a durable tuning database without any code change.
+The executor only runs and caches cells; whoever owns the results writes
+them to a tuning store (:class:`~repro.bench.campaign.TuningCampaign`, the
+``workload`` command).  ``REPRO_CACHE_DIR`` enables the cache when a sweep
+builds its default executor, so re-runs of ``benchmarks/bench_*.py`` and
+the experiment drivers skip already-simulated cells without any code
+change.
 """
 
 from __future__ import annotations
@@ -576,44 +576,22 @@ class CellExecutor:
     ``--jobs N`` output byte-identical to the serial path.
     """
 
-    def __init__(self, jobs: int = 1, cache_dir: str | Path | None = None,
-                 store=None) -> None:
+    def __init__(self, jobs: int = 1,
+                 cache_dir: str | Path | None = None) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.stats = ExecutorStats()
-        # Optional persistent sink: a repro.store.TuningStore (or a path to
-        # one) that every finished cell — simulated or cache-served — is
-        # ingested into.  Ingest is content-addressed, so repeated runs are
-        # idempotent.  Lazily imported: the store is an optional layer.
-        self.store = None
-        self._owns_store = False
-        self._store_provenance: int | None = None
-        if store is not None:
-            from repro.store import open_store
-
-            self.store, self._owns_store = open_store(store)
 
     @classmethod
-    def from_env(cls, jobs: int | None = None,
-                 cache_dir: str | Path | None = None,
-                 store=None) -> "CellExecutor":
-        """Build an executor honoring ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` /
-        ``REPRO_STORE``."""
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS", "1"))
+    def from_env(cls, jobs: int = 1,
+                 cache_dir: str | Path | None = None) -> "CellExecutor":
+        """Build an executor whose cache directory defaults to
+        ``REPRO_CACHE_DIR``."""
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-        if store is None:
-            store = os.environ.get("REPRO_STORE") or None
-        return cls(jobs=jobs, cache_dir=cache_dir, store=store)
-
-    def close(self) -> None:
-        """Release the store connection if this executor opened it."""
-        if self.store is not None and self._owns_store:
-            self.store.close()
-            self.store = None
+        return cls(jobs=jobs, cache_dir=cache_dir)
 
     def run_cells(
         self,
@@ -690,8 +668,6 @@ class CellExecutor:
                                         else "no_delay"),
                         },
                     )
-            if self.store is not None and specs:
-                self._sink(specs, results)
             self.stats.cells += len(specs)
             self.stats.wall_seconds += time.perf_counter() - started
         if collect:
@@ -700,29 +676,6 @@ class CellExecutor:
             m.counter("executor.cache_hit_total").inc(len(specs) - len(pending))
             m.counter("executor.simulated").inc(len(pending))
         return results  # type: ignore[return-value]
-
-    def _sink(self, specs: Sequence[CellSpec],
-              results: Sequence["BenchResult | None"]) -> None:
-        """Ingest every finished cell of one batch into the tuning store.
-
-        Cache hits are ingested too (the store should be complete even on a
-        warm run); content addressing makes re-ingest a no-op.
-        """
-        from repro.store import harness_hash
-
-        if self._store_provenance is None:
-            self._store_provenance = self.store.ensure_provenance(
-                run_id=_obs_current().run_id,
-                params_hash=harness_hash(specs[0]),
-            )
-        n = 0
-        for result in results:
-            if result is None:  # pragma: no cover - defensive
-                continue
-            _id, inserted = self.store.ingest_result(
-                result, provenance_id=self._store_provenance)
-            n += inserted
-        _obs_current().metrics.counter("executor.store_ingest_total").inc(n)
 
     def _record(self, spec: CellSpec, result: "BenchResult", seconds: float,
                 telemetry: "CellTelemetry | None" = None) -> "BenchResult":

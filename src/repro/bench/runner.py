@@ -14,7 +14,7 @@ Both sweeps are two-phase: the No-delay baselines fan out first (they size
 the skew), then every skewed cell fans out in one batch.  Cells run through
 a :class:`~repro.bench.executor.CellExecutor` — pass one to parallelize
 across processes and/or reuse an on-disk result cache; the default executor
-honors the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment overrides.
+is serial and caches under ``REPRO_CACHE_DIR`` when that is set.
 Results are merged back in deterministic cell order, so a parallel sweep is
 byte-identical to a serial one.
 """

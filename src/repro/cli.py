@@ -856,20 +856,28 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 bench = config.make_bench()
                 print(f"platform resized to the trace's {p} ranks",
                       file=sys.stderr)
-    executor = None
-    if not args.no_cells:
-        from repro.bench.executor import CellExecutor
+    store = None
+    if args.store and not args.no_cells:
+        from repro.store import TuningStore
 
-        executor = CellExecutor.from_env(
-            jobs=config.jobs if config.jobs != 1 else None,
-            cache_dir=config.cache_dir, store=args.store)
+        store = TuningStore(args.store)  # a bad store fails before the run
     try:
-        result = workloads.run_workload(spec, bench, executor=executor,
-                                        pattern=pattern,
-                                        cells=not args.no_cells)
+        result = workloads.run_workload(
+            spec, bench,
+            executor=None if args.no_cells else config.make_executor(),
+            pattern=pattern, cells=not args.no_cells)
+        if store is not None:
+            from repro.obs.context import current
+            from repro.store import harness_hash
+
+            provenance = store.ensure_provenance(
+                run_id=current().run_id,
+                params_hash=harness_hash(result.cell_specs[0]))
+            for cell in result.cell_results:
+                store.ingest_result(cell, provenance_id=provenance)
     finally:
-        if executor is not None:
-            executor.close()
+        if store is not None:
+            store.close()
     print(f"{spec.name}: {spec.description}" if spec.description
           else spec.name)
     pattern_note = ""

@@ -97,14 +97,11 @@ class ExperimentConfig:
     def make_executor(self) -> CellExecutor:
         """One executor per experiment run, so its counters span all sweeps.
 
-        Falls back to the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment
-        overrides when the config leaves the defaults, so benchmark re-runs
-        can opt into caching without touching driver code.
+        The cache directory falls back to ``REPRO_CACHE_DIR`` when the
+        config leaves it unset, so benchmark re-runs can opt into caching
+        without touching driver code.
         """
-        return CellExecutor.from_env(
-            jobs=self.jobs if self.jobs != 1 else None,
-            cache_dir=self.cache_dir,
-        )
+        return CellExecutor.from_env(jobs=self.jobs, cache_dir=self.cache_dir)
 
     def msg_sizes(self) -> list[int]:
         return FAST_MSG_SIZES if self.fast else DEFAULT_MSG_SIZES

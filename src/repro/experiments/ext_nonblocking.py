@@ -48,6 +48,10 @@ WORKLOADS = {
 NOISE_LEVELS = ("none", "moderate", "noisy")
 
 
+def _noise(name: str, num_ranks: int, seed: int) -> NoiseModel | None:
+    return NoiseModel(name, num_ranks, seed=seed) if name != "none" else None
+
+
 def _run_nonblocking(platform, params, noise, workload_key: str,
                      iterations: int) -> float:
     """start collective(previous data) -> compute -> wait, pipelined."""
@@ -87,19 +91,18 @@ def run(config: ExperimentConfig | None = None) -> NonblockingResult:
     for workload, (collective, algorithm, msg_bytes, count,
                    compute) in WORKLOADS.items():
         for noise_name in NOISE_LEVELS:
-            noise = (
-                NoiseModel(noise_name, platform.num_ranks, seed=config.seed)
-                if noise_name != "none" else None
-            )
-            # Both variants draw from one noise model, blocking first.
+            # Each variant gets a fresh model of one seed, so both see the
+            # same noise realisation.
             blocking = IterativeProxyApp(
                 platform, collective, algorithm, msg_bytes,
                 iterations=iterations, calls_per_iteration=1,
                 compute_per_iteration=compute, count=count, params=params,
-                noise=noise,
+                noise=_noise(noise_name, platform.num_ranks, config.seed),
             ).run().runtime
-            nonblocking = _run_nonblocking(platform, params, noise, workload,
-                                           iterations)
+            nonblocking = _run_nonblocking(
+                platform, params,
+                _noise(noise_name, platform.num_ranks, config.seed),
+                workload, iterations)
             result.cells[(workload, noise_name)] = (blocking, nonblocking)
     return result
 

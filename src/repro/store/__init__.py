@@ -1,10 +1,10 @@
 """Persistent tuning store: an SQLite database of sweeps, cells, and rules.
 
 The durable half of the selection pipeline (the serving half is
-:mod:`repro.service`): campaigns and executors sink their measurements
-here, selection tables round-trip through it, and the selection service
-warm-starts from it.  See :mod:`repro.store.tuning_store` for the data
-model and :mod:`repro.store.schema` for the versioned schema.
+:mod:`repro.service`): campaigns and workload runs write their
+measurements here, selection tables round-trip through it, and the
+selection service warm-starts from it.  See :mod:`repro.store.tuning_store`
+for the data model and :mod:`repro.store.schema` for the versioned schema.
 """
 
 from repro.store.schema import LATEST_VERSION, MIGRATIONS, migrate, schema_version

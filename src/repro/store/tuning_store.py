@@ -12,9 +12,9 @@ keyed by the SHA-256 of its canonical JSON, so ingesting the same data
 twice changes nothing (idempotent ingest is what lets long campaigns,
 re-runs, and multiple workers all sink into one store).
 
-Writers: :class:`~repro.bench.executor.CellExecutor` (``store=`` sink for
-raw cells), :class:`~repro.bench.campaign.TuningCampaign`
-(``store=`` ingests sweeps + rules), and
+Writers: :class:`~repro.bench.campaign.TuningCampaign` (``store=``
+ingests sweeps, their cells, and rules), the ``workload run``/``replay``
+commands (``--store`` ingests phase cells), and
 :meth:`~repro.selection.table.SelectionTable.to_store`.  Readers:
 :meth:`SelectionTable.from_store` and the
 :class:`~repro.service.SelectionService`, which warm-starts its query
@@ -33,6 +33,7 @@ import math
 import sqlite3
 import subprocess
 import threading
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -150,6 +151,7 @@ class TuningStore:
             raise ConfigurationError(f"store path {self.path} is a directory")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        self._in_transaction = False
         # One shared connection; check_same_thread off because the service
         # queries from handler threads — the RLock serializes statements.
         self._conn = sqlite3.connect(str(self.path), timeout=timeout,
@@ -197,6 +199,21 @@ class TuningStore:
                 pass
         return stamp
 
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """Hold the lock for one transaction; a nested call joins the
+        outermost one, which commits (or rolls back) everything."""
+        with self._lock:
+            if self._in_transaction:
+                yield
+                return
+            self._in_transaction = True
+            try:
+                with self._conn:
+                    yield
+            finally:
+                self._in_transaction = False
+
     # -- provenance ------------------------------------------------------ #
 
     def ensure_provenance(self, run_id: str = "", params_hash: str = "") -> int:
@@ -206,7 +223,7 @@ class TuningStore:
         ``created_at`` of the *first* insert is kept).
         """
         describe = git_describe()
-        with self._lock, self._conn:
+        with self._transaction():
             self._conn.execute(
                 "INSERT OR IGNORE INTO provenance "
                 "(run_id, model_version, params_hash, git_describe, created_at) "
@@ -234,7 +251,7 @@ class TuningStore:
         """
         payload = canonical_json(result.to_dict())
         digest = hashlib.sha256(payload.encode()).hexdigest()
-        with self._lock, self._conn:
+        with self._transaction():
             row = self._conn.execute(
                 "SELECT id, sweep_id FROM bench_results WHERE content_hash=?",
                 (digest,),
@@ -258,28 +275,31 @@ class TuningStore:
 
     def ingest_sweep(self, sweep: "SweepResult", *,
                      provenance_id: int | None = None) -> tuple[int, bool]:
-        """Store one sweep and all its cells; returns ``(sweep_id, inserted)``."""
+        """Store one sweep and all its cells; returns ``(sweep_id, inserted)``.
+
+        One transaction: a failure part way leaves neither the sweep row
+        nor any of its cells, so a re-ingest counts the sweep as new.
+        """
         digest = content_hash(sweep.to_dict())
-        with self._lock:
-            with self._conn:
-                row = self._conn.execute(
-                    "SELECT id FROM sweeps WHERE content_hash=?", (digest,)
-                ).fetchone()
-                if row is not None:
-                    sweep_id, inserted = int(row["id"]), False
-                else:
-                    cur = self._conn.execute(
-                        "INSERT INTO sweeps (content_hash, collective,"
-                        " comm_size, msg_bytes, machine, skew_by_pattern,"
-                        " per_algorithm_skews, provenance_id)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        (digest, sweep.collective, int(sweep.num_ranks),
-                         float(sweep.msg_bytes), sweep.machine,
-                         canonical_json(sweep.skew_by_pattern),
-                         canonical_json(sweep.per_algorithm_skews),
-                         provenance_id),
-                    )
-                    sweep_id, inserted = int(cur.lastrowid), True
+        with self._transaction():
+            row = self._conn.execute(
+                "SELECT id FROM sweeps WHERE content_hash=?", (digest,)
+            ).fetchone()
+            if row is not None:
+                sweep_id, inserted = int(row["id"]), False
+            else:
+                cur = self._conn.execute(
+                    "INSERT INTO sweeps (content_hash, collective,"
+                    " comm_size, msg_bytes, machine, skew_by_pattern,"
+                    " per_algorithm_skews, provenance_id)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    (digest, sweep.collective, int(sweep.num_ranks),
+                     float(sweep.msg_bytes), sweep.machine,
+                     canonical_json(sweep.skew_by_pattern),
+                     canonical_json(sweep.per_algorithm_skews),
+                     provenance_id),
+                )
+                sweep_id, inserted = int(cur.lastrowid), True
             for cell in sweep.cells.values():
                 self.ingest_result(cell, sweep_id=sweep_id,
                                    provenance_id=provenance_id)
@@ -293,7 +313,7 @@ class TuningStore:
             raise ConfigurationError("rule needs strategy, collective, algorithm")
         if comm_size <= 0 or msg_bytes < 0:
             raise ConfigurationError("invalid rule coordinates")
-        with self._lock, self._conn:
+        with self._transaction():
             self._conn.execute(
                 "INSERT INTO rules (strategy, collective, comm_size,"
                 " msg_bytes, pattern, algorithm, provenance_id)"
@@ -386,7 +406,7 @@ class TuningStore:
         """
         now = datetime.now(timezone.utc).isoformat(timespec="seconds")
         n = 0
-        with self._lock, self._conn:
+        with self._transaction():
             for f in findings:
                 if not f.content_hash:
                     continue
@@ -410,7 +430,7 @@ class TuningStore:
         """Set or clear the suspect flag by content hash; returns rows hit."""
         flag = 1 if suspect else 0
         n = 0
-        with self._lock, self._conn:
+        with self._transaction():
             for digest in hashes:
                 if not digest:
                     continue
@@ -441,7 +461,7 @@ class TuningStore:
 
     def clear_lint(self) -> None:
         """Drop every persisted finding and suspect flag."""
-        with self._lock, self._conn:
+        with self._transaction():
             self._conn.execute("DELETE FROM lint_findings")
             self._conn.execute(
                 "UPDATE bench_results SET suspect=0 WHERE suspect!=0")

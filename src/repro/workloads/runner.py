@@ -9,8 +9,9 @@ A workload run has two halves:
    replay frontend can later reconstruct.
 2. **Cell fan-out** — every phase becomes a :class:`~repro.bench.executor.CellSpec`
    executed through the shared :class:`~repro.bench.executor.CellExecutor`,
-   so workload runs hit the same cache, obs-session merge, and tuning-store
-   ingest as campaign sweeps.  This is how the zoo grows the store's
+   so workload runs hit the same cache and obs-session merge as campaign
+   sweeps.  ``workload run``/``replay --store`` then ingest the returned
+   cells into a tuning store once; this is how the zoo grows the store's
    scenario coverage.
 """
 
@@ -131,14 +132,9 @@ def run_workload(
             bench, collective, algorithm, ph.effective_msg_bytes, pattern,
             **kwargs,
         ))
-    own_executor = executor is None
-    if own_executor:
+    if executor is None:
         executor = CellExecutor.from_env()
-    try:
-        result.cell_results = executor.run_cells(result.cell_specs)
-    finally:
-        if own_executor:
-            executor.close()
+    result.cell_results = executor.run_cells(result.cell_specs)
     return result
 
 

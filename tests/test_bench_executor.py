@@ -263,12 +263,9 @@ class TestCellExecutor:
         assert "100% hit rate" in warm.stats.summary()
 
     def test_from_env_overrides(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         ex = CellExecutor.from_env()
-        assert ex.jobs == 3
         assert ex.cache is not None and ex.cache.cache_dir == tmp_path
-        monkeypatch.delenv("REPRO_JOBS")
         monkeypatch.delenv("REPRO_CACHE_DIR")
         ex = CellExecutor.from_env()
         assert ex.jobs == 1 and ex.cache is None

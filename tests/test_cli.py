@@ -156,16 +156,22 @@ class TestMain:
         assert reply["algorithm"] == offline.lookup("alltoall", 4, 64)
 
     def test_tune_store_rerun_is_idempotent(self, capsys, tmp_path):
+        from repro.store import TuningStore
+
+        db = tmp_path / "tuning.db"
         argv = [
             "tune", "--machine", "simcluster", "--nodes", "2", "--cores", "2",
             "--collectives", "alltoall", "--sizes", "64",
-            "--out", str(tmp_path / "tuned"), "--store",
-            str(tmp_path / "tuning.db"),
+            "--out", str(tmp_path / "tuned"), "--store", str(db),
         ]
         assert main(argv) == 0
         assert "+1 sweeps" in capsys.readouterr().out
+        with TuningStore(db) as store:
+            before = store.counts()
         assert main(argv) == 0
         assert "+0 sweeps" in capsys.readouterr().out
+        with TuningStore(db) as store:
+            assert store.counts() == before
 
     def test_lint_store_flags_a_poisoned_cell_the_service_then_skips(
             self, capsys, tmp_path):
@@ -387,6 +393,30 @@ class TestProfile:
         assert code == 0
         out = capsys.readouterr().out
         assert "alltoall@" in out and "pattern replay:" in out
+
+    def test_workload_run_stores_each_phase_cell_once(self, capsys, tmp_path,
+                                                      monkeypatch):
+        from repro.store import TuningStore, content_hash
+
+        monkeypatch.chdir(tmp_path)
+        offered = []
+        ingest = TuningStore.ingest_result
+
+        def counted(store, result, **kwargs):
+            offered.append(content_hash(result.to_dict()))
+            return ingest(store, result, **kwargs)
+
+        monkeypatch.setattr(TuningStore, "ingest_result", counted)
+        assert main(["workload", "run", "halo_mix", "--fast",
+                     "--machine", "simcluster", "--nodes", "2", "--cores", "2",
+                     "--store", "wl.db", "--json", "wl.json"]) == 0
+        capsys.readouterr()
+        cells = json.loads((tmp_path / "wl.json").read_text())["cells"]
+        assert sorted(offered) == sorted(content_hash(c) for c in cells)
+        with TuningStore(tmp_path / "wl.db") as store:
+            assert store.counts()["provenance"] == 1
+            stored = [digest for digest, _p, _h in store.iter_cell_rows()]
+        assert sorted(stored) == sorted(set(offered))
 
     def test_zoo_fills_one_store_the_service_answers(self, capsys, tmp_path,
                                                      monkeypatch):

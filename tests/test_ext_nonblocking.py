@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from repro.apps.base import IterativeProxyApp
 from repro.experiments import ext_nonblocking
 from repro.experiments.common import ExperimentConfig
+from repro.sim.network import NetworkParams
+from repro.sim.noise import NoiseModel
+from repro.sim.platform import get_machine
 
 
 class TestNonblockingExperiment:
@@ -28,3 +32,28 @@ class TestNonblockingExperiment:
         text = ext_nonblocking.report(result)
         assert "overlap benefit" in text
         assert "non-blocking" in text
+
+    def test_each_variant_runs_under_a_fresh_noise_model(self):
+        # The overlap benefit compares one noise realisation: each variant's
+        # runtime is that variant run alone under a fresh model of the seed.
+        config = ExperimentConfig(machine="galileo100", nodes=2,
+                                  cores_per_node=4, seed=3, fast=True)
+        result = ext_nonblocking.run(config)
+        spec = get_machine(config.machine)
+        platform = spec.platform.scaled(2, 4)
+        params = NetworkParams(**spec.network)
+        for workload, (collective, algorithm, msg_bytes, count,
+                       compute) in ext_nonblocking.WORKLOADS.items():
+            for noise in ("moderate", "noisy"):
+                blocking = IterativeProxyApp(
+                    platform, collective, algorithm, msg_bytes, iterations=5,
+                    calls_per_iteration=1, compute_per_iteration=compute,
+                    count=count, params=params,
+                    noise=NoiseModel(noise, platform.num_ranks, seed=3),
+                ).run().runtime
+                nonblocking = ext_nonblocking._run_nonblocking(
+                    platform, params,
+                    NoiseModel(noise, platform.num_ranks, seed=3),
+                    workload, iterations=5)
+                assert result.cells[(workload, noise)] == (blocking,
+                                                           nonblocking)

@@ -1,5 +1,5 @@
 """Tests for the persistent tuning store: schema migration, idempotent
-content-addressed ingest, round-trips, and the executor/campaign sinks."""
+content-addressed ingest, round-trips, and the campaign as its one writer."""
 
 from __future__ import annotations
 
@@ -147,7 +147,8 @@ class TestIngestIdempotency:
             assert store.counts() == before
 
     def test_standalone_result_links_to_later_sweep(self, tmp_path):
-        """An executor-sunk cell gains its sweep link without duplication."""
+        """A standalone cell (a workload run's) gains its sweep link
+        without duplication."""
         sweep = _sweep()
         cell = next(iter(sweep.cells.values()))
         with TuningStore(tmp_path / "t.db") as store:
@@ -158,6 +159,24 @@ class TestIngestIdempotency:
                 "SELECT COUNT(*) FROM bench_results WHERE sweep_id=?", (sid,)
             ).fetchone()[0]
             assert linked == len(sweep.cells)
+
+    def test_sweep_ingest_is_atomic(self, tmp_path):
+        sweep = _sweep()
+        assert len(sweep.cells) == 4
+        with TuningStore(tmp_path / "t.db") as store:
+            store._conn.execute(
+                "CREATE TRIGGER fail_third_cell BEFORE INSERT ON bench_results"
+                " WHEN (SELECT COUNT(*) FROM bench_results) = 2"
+                " BEGIN SELECT RAISE(ABORT, 'injected failure'); END")
+            with pytest.raises(sqlite3.DatabaseError, match="injected"):
+                store.ingest_sweep(sweep)
+            counts = store.counts()
+            assert (counts["sweeps"], counts["bench_results"]) == (0, 0)
+            store._conn.execute("DROP TRIGGER fail_third_cell")
+            _sid, inserted = store.ingest_sweep(sweep)
+            assert inserted
+            counts = store.counts()
+            assert (counts["sweeps"], counts["bench_results"]) == (1, 4)
 
     def test_provenance_tuple_deduplicates(self, tmp_path):
         with TuningStore(tmp_path / "t.db") as store:
@@ -268,54 +287,11 @@ class TestCampaignIngest:
             assert store.load_pattern_tables() == {}
 
 
-class TestExecutorSink:
-    def _specs(self):
-        from repro.bench import MicroBenchmark
-        from repro.bench.executor import CellSpec
-        from repro.sim.platform import get_machine
+class TestOneWriter:
+    """A campaign's cells reach the store through ``ingest_campaign`` alone."""
 
-        bench = MicroBenchmark.from_machine(
-            get_machine("hydra"), nodes=2, cores_per_node=2, nrep=1
-        )
-        return [CellSpec.from_bench(bench, "alltoall", algo, 1024)
-                for algo in ("bruck", "pairwise")]
-
-    def test_executor_sinks_cells_into_store(self, tmp_path):
-        from repro.bench.executor import CellExecutor
-
-        path = tmp_path / "t.db"
-        specs = self._specs()
-        executor = CellExecutor(store=path)
-        try:
-            executor.run_cells(specs)
-        finally:
-            executor.close()
-        with TuningStore(path) as store:
-            assert store.counts()["bench_results"] == len(specs)
-            assert store.counts()["provenance"] == 1
-            before = store.counts()
-        # A second run over the same cells changes nothing (idempotent).
-        executor = CellExecutor(store=path)
-        try:
-            executor.run_cells(specs)
-        finally:
-            executor.close()
-        with TuningStore(path) as store:
-            assert store.counts() == before
-
-    def test_from_env_honors_repro_store(self, tmp_path, monkeypatch):
-        from repro.bench.executor import CellExecutor
-
-        path = tmp_path / "env.db"
-        monkeypatch.setenv("REPRO_STORE", str(path))
-        executor = CellExecutor.from_env()
-        try:
-            assert executor.store is not None
-            assert executor.store.path == path
-        finally:
-            executor.close()
-
-    def test_campaign_store_field_shares_one_connection(self, tmp_path):
+    @staticmethod
+    def _campaign(store, cache_dir=None):
         from repro.bench import MicroBenchmark
         from repro.bench.campaign import TuningCampaign
         from repro.sim.platform import get_machine
@@ -323,10 +299,65 @@ class TestExecutorSink:
         bench = MicroBenchmark.from_machine(
             get_machine("hydra"), nodes=2, cores_per_node=2, nrep=1
         )
+        return TuningCampaign(bench=bench, collectives=("alltoall",),
+                              msg_sizes=(1024,), shapes=("ascending",),
+                              cache_dir=cache_dir, store=store)
+
+    @staticmethod
+    def _rows(path) -> dict[str, list[tuple]]:
+        """Every row that carries data, keyed by content, not by row id."""
+        queries = {
+            "cells": "SELECT b.content_hash, s.content_hash, p.run_id,"
+                     " p.params_hash FROM bench_results b"
+                     " LEFT JOIN sweeps s ON s.id = b.sweep_id"
+                     " LEFT JOIN provenance p ON p.id = b.provenance_id",
+            "sweeps": "SELECT s.content_hash, p.run_id, p.params_hash"
+                      " FROM sweeps s"
+                      " LEFT JOIN provenance p ON p.id = s.provenance_id",
+            "provenance": "SELECT run_id, model_version, params_hash,"
+                          " git_describe FROM provenance",
+            "rules": "SELECT r.strategy, r.collective, r.comm_size,"
+                     " r.msg_bytes, r.pattern, r.algorithm, p.params_hash"
+                     " FROM rules r"
+                     " LEFT JOIN provenance p ON p.id = r.provenance_id",
+        }
+        with TuningStore(path) as store:
+            return {name: sorted(tuple(row) for row in
+                                 store._conn.execute(sql).fetchall())
+                    for name, sql in queries.items()}
+
+    def test_cold_campaign_looks_up_and_writes_each_cell_once(self, tmp_path):
+        statements: list[str] = []
+        with TuningStore(tmp_path / "t.db") as store:
+            store._conn.set_trace_callback(statements.append)
+            result = self._campaign(store).run()
+            store._conn.set_trace_callback(None)
+        verbs = [sql.split()[0].upper() for sql in statements
+                 if "bench_results" in sql]
+        cells = result.stats.cells
+        assert cells > 0
+        assert (verbs.count("SELECT"), verbs.count("INSERT"),
+                verbs.count("UPDATE")) == (cells, cells, 0)
+
+    def test_warm_campaign_fills_a_fresh_store_like_a_cold_one(self, tmp_path):
+        cache = tmp_path / "cache"
+        stats = {}
+        for name in ("cold", "warm"):
+            campaign = self._campaign(tmp_path / f"{name}.db", cache)
+            try:
+                stats[name] = campaign.run().stats
+            finally:
+                campaign.close()
+        assert stats["warm"].hits == stats["warm"].cells
+        cold = self._rows(tmp_path / "cold.db")
+        assert len(cold["cells"]) == stats["cold"].cells
+        assert all(row[1] is not None for row in cold["cells"])  # linked
+        assert len(cold["provenance"]) == 1
+        assert self._rows(tmp_path / "warm.db") == cold
+
+    def test_campaign_store_field_ingests_sweeps_cells_and_rules(self, tmp_path):
         path = tmp_path / "c.db"
-        campaign = TuningCampaign(bench=bench, collectives=("alltoall",),
-                                  msg_sizes=(1024,), shapes=("ascending",),
-                                  store=path)
+        campaign = self._campaign(path)
         try:
             result = campaign.run()
         finally:

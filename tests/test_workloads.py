@@ -10,7 +10,7 @@ import pytest
 from repro import obs, workloads
 from repro.errors import ConfigurationError
 from repro.bench import MicroBenchmark
-from repro.bench.executor import CellExecutor, PatternSpec
+from repro.bench.executor import PatternSpec
 from repro.collectives import run_collective, CollArgs, make_input
 from repro.collectives.tuned import fixed_decision
 from repro.obs.analysis import TraceAnalysis
@@ -202,20 +202,6 @@ class TestRunner:
         result = run_workload(spec, bench, cells=False)
         assert result.cell_results == []
         assert result.runtime > 0
-
-    def test_store_ingest(self, bench, tmp_path):
-        from repro.store import TuningStore
-
-        spec = build_workload("allgatherv_ragged", bench.num_ranks, fast=True)
-        db = tmp_path / "wl.db"
-        executor = CellExecutor.from_env(store=str(db))
-        try:
-            run_workload(spec, bench, executor=executor)
-        finally:
-            executor.close()
-        with TuningStore(db) as store:
-            payloads = [p for _h, p, _ph in store.iter_cell_rows()]
-        assert any(p["collective"] == "allgatherv" for p in payloads)
 
     def test_pattern_rank_mismatch_rejected(self, bench):
         spec = build_workload("param_sweep", bench.num_ranks, fast=True)
