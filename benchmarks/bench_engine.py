@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.micro import MicroBenchmark
 from repro.clocks import ClockSet
 from repro.clocks.sync import sync_clocks
 from repro.collectives import CollArgs, make_input, run_collective
@@ -61,6 +62,34 @@ def bench_engine_alltoall_throughput(benchmark):
 
     result = benchmark(job)
     assert result.events_processed > p * (p - 1)
+
+
+def _alltoall_cell(algorithm):
+    """One 64-rank exact Alltoall cell as the sweeps run it: hydra 16 x 4,
+    1 KiB blocks, First-delayed at 200 us, two repetitions."""
+    bench = MicroBenchmark.from_machine(get_machine("hydra"), nodes=16,
+                                        cores_per_node=4, nrep=2)
+    pattern = generate_pattern("first_delayed", bench.num_ranks, 2e-4, seed=1)
+
+    def job():
+        return bench.run("alltoall", algorithm, 1024.0, pattern)
+
+    return job
+
+
+def bench_engine_alltoall_linear_sync_cell(benchmark):
+    """linear_sync's sliding window, refilled inside the engine (one
+    ``window`` condition per rank and call)."""
+    result = benchmark.pedantic(_alltoall_cell("linear_sync"), rounds=5,
+                                iterations=1)
+    assert result.last_delay > 0
+
+
+def bench_engine_alltoall_bruck_cell(benchmark):
+    """Bruck's rotations and block selections as whole-array indexing."""
+    result = benchmark.pedantic(_alltoall_cell("bruck"), rounds=5,
+                                iterations=1)
+    assert result.last_delay > 0
 
 
 def bench_engine_tree_collective_throughput(benchmark):

@@ -7,16 +7,24 @@ through the workload layer's one rank program.  Per-rank compute and MPI
 time are accounted separately, standing in for the paper's mpisee
 profiling, and :meth:`~IterativeProxyApp.trace` records the run's arrival
 patterns (the paper's PMPI tracer, Section V-A).
+
+A run whose noise model has not drawn yet is simulated once per process:
+it is kept, with the nested session that traced it and its noise streams
+afterwards, in the executor's reuse tier
+(:data:`repro.bench.executor.REUSE`), keyed by the workload spec,
+platform, network, noise profile and seed.  A repeat returns a copy,
+replays the session's telemetry and leaves the noise model where the run
+would have left it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.obs.analysis import TraceAnalysis
-from repro.obs.collect import capture_telemetry, merge_telemetry
+from repro.obs.collect import capture_telemetry, merge_telemetry, replay_telemetry
 from repro.obs.context import current as _obs_current, session
 from repro.sim.mpi import run_processes
 from repro.sim.network import NetworkParams
@@ -108,17 +116,40 @@ class IterativeProxyApp:
                    noise=noise, **kwargs)
 
     def run(self) -> AppResult:
-        """Execute the proxy app; returns profile accounting."""
-        spec = self.workload
-        prog = rank_program(spec, build_plan(spec.phases, self.platform.num_ranks))
-        run = run_processes(self.platform, prog, params=self.params, noise=self.noise)
-        results = run.rank_results
-        return AppResult(
-            runtime=float(max(r[0] for r in results)),
-            rank_compute_time=np.array([r[2] for r in results]),
-            rank_mpi_time=np.array([sum(r[1].values()) for r in results]),
-            collective_calls=spec.iterations * len(spec.phases),
-        )
+        """Execute the proxy app; returns profile accounting.
+
+        The run records its spans in a nested observability session, which
+        then replays into the enclosing session (if any) as a direct run
+        would have recorded it there.  A run whose noise model has not
+        drawn yet comes from the reuse tier when an equal one ran before.
+        """
+        outer = _obs_current()
+        if outer.record_messages or outer.record_links:
+            return self._simulate()  # the run session records neither
+        from repro.bench.executor import REUSE
+
+        noise = self.noise
+        key = twin = None
+        if noise is None or noise.fresh:
+            key = ("proxy", self.workload, self.platform, self.params,
+                   None if noise is None
+                   else (noise.profile, noise.num_ranks, noise.seed))
+            twin = REUSE.get(key)
+        if twin is not None:
+            result, octx, streams = twin
+            if noise is not None:
+                noise.set_streams(streams)
+            result = _copy_result(result)
+        else:
+            with session(meta={"app": self.name}) as octx:
+                result = self._simulate()
+            if key is not None:
+                REUSE.put(key, (_copy_result(result), octx,
+                                None if noise is None else noise.streams()))
+        if outer.enabled:
+            replay_telemetry(outer, capture_telemetry(octx), self.collective,
+                             self.algorithm, self.algorithm)
+        return result
 
     def trace(self) -> tuple[AppResult, TraceAnalysis]:
         """Run the app with every collective call traced (Section V-A).
@@ -135,3 +166,21 @@ class IterativeProxyApp:
         if outer.enabled:
             merge_telemetry(outer, capture_telemetry(octx), name=self.name)
         return result, TraceAnalysis.from_context(octx)
+
+    def _simulate(self) -> AppResult:
+        spec = self.workload
+        prog = rank_program(spec, build_plan(spec.phases, self.platform.num_ranks))
+        run = run_processes(self.platform, prog, params=self.params, noise=self.noise)
+        results = run.rank_results
+        return AppResult(
+            runtime=float(max(r[0] for r in results)),
+            rank_compute_time=np.array([r[2] for r in results]),
+            rank_mpi_time=np.array([sum(r[1].values()) for r in results]),
+            collective_calls=spec.iterations * len(spec.phases),
+        )
+
+
+def _copy_result(result: AppResult) -> AppResult:
+    """``result`` sharing no array with it."""
+    return replace(result, rank_compute_time=result.rank_compute_time.copy(),
+                   rank_mpi_time=result.rank_mpi_time.copy())

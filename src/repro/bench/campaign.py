@@ -30,7 +30,7 @@ from typing import Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.bench.executor import CellExecutor, CellSpec, ExecutorStats
+from repro.bench.executor import REUSE, CellExecutor, CellSpec, ExecutorStats
 from repro.bench.micro import MicroBenchmark
 from repro.bench.results import SweepResult
 from repro.collectives.base import get_algorithm, list_algorithms
@@ -164,6 +164,7 @@ class TuningCampaign:
         from repro.selection.table import SelectionTable
 
         store = self._open_store()  # a bad store fails before any cell runs
+        REUSE.clear()  # a campaign's cost does not depend on earlier runs
         if executor is None:
             executor = self.make_executor()
         table = SelectionTable(strategy_name=self.strategy.name)

@@ -19,10 +19,13 @@ module supplies the three pieces the sweep drivers build on:
   byte-identical to serial ones.  Per-cell timings and cache hit/miss
   counters accumulate on :class:`ExecutorStats`.
 
-Every cell runs through :func:`run_cell`, which simulates each schedule
-once per sweep group: a cell whose algorithm falls back wholesale to one
-that already ran in the group (:func:`~repro.collectives.schedule_of`)
-reuses that run.
+Every cell runs through :func:`run_cell`, which simulates each distinct
+run once per process: the in-process reuse tier (:data:`REUSE`) keeps
+recently finished runs keyed by content, with the algorithm replaced by
+the schedule that runs (:func:`~repro.collectives.schedule_of`), so a
+repeated cell, or one whose algorithm falls back wholesale to another
+that already ran, reuses that run.  The FT/CG proxy runs of
+:mod:`repro.apps` share the tier.
 
 The executor only runs and caches cells; whoever owns the results writes
 them to a tuning store (:class:`~repro.bench.campaign.TuningCampaign`, the
@@ -39,6 +42,7 @@ import json
 import os
 import tempfile
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -268,50 +272,125 @@ class CellSpec:
         return d
 
     def cache_key(self) -> str:
-        """SHA-256 over the canonical spec JSON and the model version."""
-        payload = {"model_version": MODEL_VERSION, "spec": self.to_dict()}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """SHA-256 over the canonical spec JSON and the model version,
+        computed once per spec object."""
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            payload = {"model_version": MODEL_VERSION, "spec": self.to_dict()}
+            canonical = json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":"))
+            key = hashlib.sha256(canonical.encode()).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+    def reuse_key(self) -> str:
+        """:meth:`cache_key` of this cell with its algorithm replaced by the
+        schedule that runs (:meth:`schedule`).  Hybrid cells dispatch on
+        the requested name and vector cells declare no fallbacks, so both
+        keep their own algorithm."""
+        if self.engine_mode != "exact" or self.counts is not None:
+            return self.cache_key()
+        schedule = self.schedule()
+        if schedule == self.algorithm:
+            return self.cache_key()
+        return replace(self, algorithm=schedule).cache_key()
 
 
-#: The last sweep group run in this process: its key and, per schedule,
-#: ``(algorithm, result, cell session or None)`` of the cell that ran it.
-#: Module state, like the synced-clock prefix of repro.bench.micro: the
-#: executor hands run_cell one cell at a time, inline or in a pool worker.
-_last_group: tuple[object, dict] = (None, {})
+class ReuseTier:
+    """Recently finished runs of this process, keyed by content.
+
+    A bounded LRU map: each ``put`` beyond ``entries`` evicts the least
+    recently used run.  Module state, like the synced-clock prefix of
+    :mod:`repro.bench.micro`, so each ``--jobs`` worker has its own.
+    """
+
+    def __init__(self, entries: int) -> None:
+        self.entries = entries
+        self._runs: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._runs)
+
+    def get(self, key):
+        run = self._runs.get(key)
+        if run is not None:
+            self._runs.move_to_end(key)
+        return run
+
+    def put(self, key, run) -> None:
+        self._runs[key] = run
+        if len(self._runs) > self.entries:
+            self._runs.popitem(last=False)
+
+    def clear(self) -> None:
+        self._runs.clear()
+
+
+#: The reuse tier of this process: sweep cells (:func:`run_cell`), Fig. 7's
+#: direct cells (:func:`reuse_cell`) and the proxy application runs of
+#: :class:`~repro.apps.base.IterativeProxyApp`.  A ``repro-mpi`` command
+#: and a tuning campaign each start it empty, so what they simulate does
+#: not depend on what the process ran before.  An entry holds a result and
+#: its run session (a few kB untraced): ``all --fast`` keeps 509 runs,
+#: about 1.4 MB of peak RSS.
+REUSE = ReuseTier(1024)
 
 
 def run_cell(spec: CellSpec) -> "BenchResult":
-    """Run one cell, simulating each schedule once per sweep group.
+    """Run one cell, simulating each distinct run once per process.
 
-    Module-level: pool workers pickle it by reference.  A sweep group is a
-    run of consecutive exact-engine cells equal in every field but
-    ``algorithm``.  A cell whose schedule (:meth:`CellSpec.schedule`)
-    already ran in the current group returns a copy of that twin's result
-    under its own algorithm and replays the twin's telemetry into its own
-    cell session (:func:`~repro.obs.collect.replay_telemetry`).  Reuse
-    needs no open session or the cell's own (:func:`_run_cell_job`'s):
-    any other session holds more than the twin's telemetry, so under it
-    the cell simulates.  Hybrid cells dispatch on the requested name and
-    vector cells declare no fallbacks: both always simulate.
+    Module-level: pool workers pickle it by reference.  A cell whose
+    :meth:`~CellSpec.reuse_key` ran before in this process (and is still
+    in :data:`REUSE`) returns a copy of that twin's result under its own
+    algorithm and replays the twin's telemetry into its own cell session
+    (:func:`~repro.obs.collect.replay_telemetry`); a twin's telemetry
+    stands in only for a cell that records the same.  Reuse needs no open
+    session or the cell's own (:func:`_run_cell_job`'s): any other session
+    holds more than the twin's telemetry, so under it the cell simulates
+    and is not kept.
     """
-    global _last_group
     octx = _obs_current()
-    if (spec.engine_mode != "exact" or spec.counts is not None
-            or (octx.enabled and octx.run_id != _cell_run_id(spec))):
+    if octx.enabled and octx.run_id != _cell_run_id(spec):
         return spec.run()
-    # A twin's telemetry stands in only for a cell that records the same.
-    key = (replace(spec, algorithm=""), octx.enabled, octx.record_spans,
+    return _reused_run(spec, octx)
+
+
+def reuse_cell(spec: CellSpec) -> "BenchResult":
+    """Run one cell through the reuse tier from under the caller's session.
+
+    For an experiment that runs single cells itself rather than through
+    :meth:`CellExecutor.run_cells` (Fig. 7): the cell runs under its own
+    cell session, as an executor cell does, so the two share tier entries;
+    its telemetry then replays into the caller's session as a direct
+    :meth:`MicroBenchmark.run <repro.bench.micro.MicroBenchmark.run>`
+    would have recorded it there.  Under a session that records fabric
+    links (which cell sessions do not) the cell simulates directly.
+    """
+    outer = _obs_current()
+    if not outer.enabled:
+        return _reused_run(spec, outer)
+    if outer.record_links:
+        return spec.run()
+    from repro.obs.collect import capture_telemetry, replay_telemetry
+
+    with _cell_session(spec, outer.record_spans,
+                       outer.record_messages) as cctx:
+        result = _reused_run(spec, cctx)
+    replay_telemetry(outer, capture_telemetry(cctx), spec.collective,
+                     spec.algorithm, spec.algorithm)
+    return result
+
+
+def _reused_run(spec: CellSpec, octx) -> "BenchResult":
+    """``spec``'s result from :data:`REUSE`, or simulated and kept there;
+    ``octx`` is the cell's own session (or the null context)."""
+    key = ("cell", spec.reuse_key(), octx.enabled, octx.record_spans,
            octx.record_messages)
-    if _last_group[0] != key:
-        _last_group = (key, {})
-    runs = _last_group[1]
-    schedule = spec.schedule()
-    twin = runs.get(schedule)
+    twin = REUSE.get(key)
     if twin is None:
         result = spec.run()
-        runs[schedule] = (spec.algorithm, result,
-                          octx if octx.enabled else None)
+        REUSE.put(key, (spec.algorithm, _copy_result(result, spec.algorithm),
+                        octx if octx.enabled else None))
         return result
     algorithm, result, session = twin
     if session is not None:
@@ -360,17 +439,23 @@ def _run_cell_job(
         return result, time.process_time() - started, None
 
     from repro.obs.collect import capture_telemetry
-    from repro.obs.context import session
 
     started = time.process_time()
-    with session(run_id=_cell_run_id(spec),
-                 meta={"collective": spec.collective,
-                       "algorithm": spec.algorithm},
-                 record_spans=record_spans,
-                 record_messages=record_messages) as cctx:
+    with _cell_session(spec, record_spans, record_messages) as cctx:
         result = run_cell(spec)
         telemetry = capture_telemetry(cctx)
     return result, time.process_time() - started, telemetry
+
+
+def _cell_session(spec: CellSpec, record_spans: bool, record_messages: bool):
+    """The fresh observability session one cell runs under."""
+    from repro.obs.context import session
+
+    return session(run_id=_cell_run_id(spec),
+                   meta={"collective": spec.collective,
+                         "algorithm": spec.algorithm},
+                   record_spans=record_spans,
+                   record_messages=record_messages)
 
 
 # --------------------------------------------------------------------------- #
@@ -694,6 +779,9 @@ __all__ = [
     "MODEL_VERSION",
     "PatternSpec",
     "CellSpec",
+    "REUSE",
+    "ReuseTier",
+    "reuse_cell",
     "run_cell",
     "ResultCache",
     "CacheStats",

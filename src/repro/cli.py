@@ -16,7 +16,7 @@ import sys
 import time
 
 from repro._version import __version__
-from repro.errors import ReproError, StoreError
+from repro.errors import ConfigurationError, ReproError, StoreError
 from repro.experiments import tables
 from repro.experiments.common import ExperimentConfig
 from repro.sim.flow import ENGINE_MODES
@@ -757,6 +757,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     from repro.utils.units import format_time
 
     cmd = args.workload_cmd
+    if getattr(args, "store", None) and getattr(args, "no_cells", False):
+        raise ConfigurationError(
+            f"workload {cmd}: --store ingests the phase cells, which "
+            "--no-cells skips; drop one of them")
     if cmd == "list":
         rows = [(info.name, info.description)
                 for info in workloads.list_workloads()]
@@ -857,7 +861,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 print(f"platform resized to the trace's {p} ranks",
                       file=sys.stderr)
     store = None
-    if args.store and not args.no_cells:
+    if args.store:
         from repro.store import TuningStore
 
         store = TuningStore(args.store)  # a bad store fails before the run
@@ -1036,8 +1040,11 @@ _DEFAULT_TRACE_OUT = {"profile": "profile_trace.json",
 
 
 def _main(args: argparse.Namespace) -> int:
+    from repro.bench.executor import REUSE
+
     command = args.command
     started = time.time()
+    REUSE.clear()  # a command's work does not depend on earlier commands
     trace_out = getattr(args, "obs_trace_out", None)
     if trace_out is None:
         trace_out = _DEFAULT_TRACE_OUT.get(command)

@@ -9,6 +9,8 @@ rank ``i``.  ``args.msg_bytes`` is the modeled wire size of **one block**
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.collectives.base import (
@@ -70,41 +72,46 @@ def alltoall_bruck(ctx, args, data):
     """
     p, me = ctx.size, ctx.rank
     send = as_matrix(data, p, args.count, "alltoall data")
-    out = np.empty_like(send)
-    out[me] = send[me]
     if p == 1:
-        return out
+        return send.copy()
     # Phase 1 — local rotation: staged[j] = block destined to rank (me + j) % p.
-    staged = np.empty_like(send)
-    for j in range(p):
-        staged[j] = send[(me + j) % p]
+    staged = np.roll(send, -me, axis=0)
     # Phase 2 — log rounds.  After all rounds, staged[j] holds the block
     # *from* rank (me - j) % p destined to me.
     for k in range(ceil_log2(p) + 1):
         pow2 = 1 << k
         if pow2 >= p:
             break
-        idx = [j for j in range(p) if j & pow2]
+        idx = _bruck_blocks(p, pow2)
         dst = (me + pow2) % p
         src = (me - pow2) % p
         rreq = yield ctx.sendrecv(dst, src, args.msg_bytes * len(idx), args.tag,
                                   staged[idx])
         staged[idx] = rreq.payload
-    # Phase 3 — inverse rotation.
-    for j in range(1, p):
-        out[(me - j) % p] = staged[j]
-    return out
+    # Phase 3 — inverse rotation: out[i] = staged[(me - i) % p]; staged[0]
+    # never moves, so out[me] is the rank's own block.
+    return staged[(me - np.arange(p)) % p]
+
+
+@lru_cache(maxsize=256)
+def _bruck_blocks(p: int, pow2: int) -> np.ndarray:
+    """Staged block indices with bit ``pow2`` set (read-only: shared)."""
+    idx = np.flatnonzero(np.arange(p) & pow2)
+    idx.flags.writeable = False
+    return idx
 
 
 @register("alltoall", "linear_sync", ompi_id=4, aliases=("linear_with_sync", "l_sync"),
           description="Linear exchange with synchronous sends, sliding window of outstanding pairs.")
 def alltoall_linear_sync(ctx, args, data, window: int = 4):
     """Open MPI's ``linear_sync``: a *sliding* window of ``window``
-    outstanding irecv/issend pairs, refilled via waitany as operations
-    complete.  The synchronous sends mean no send completes before its
-    receiver arrives, which is what makes this algorithm degrade when a
-    late receiver pins window slots (e.g. the First-delayed pattern) while
-    staying competitive otherwise.
+    outstanding irecv/issend pairs, refilled as operations complete.  The
+    synchronous sends mean no send completes before its receiver arrives,
+    which is what makes this algorithm degrade when a late receiver pins
+    window slots (e.g. the First-delayed pattern) while staying
+    competitive otherwise.  The window is one engine condition
+    (:meth:`~repro.sim.mpi.ProcContext.window`), refilled inside the
+    engine on each completion.
     """
     p, me = ctx.size, ctx.rank
     send = as_matrix(data, p, args.count, "alltoall data")
@@ -112,38 +119,12 @@ def alltoall_linear_sync(ctx, args, data, window: int = 4):
     out[me] = send[me]
     if p == 1:
         return out
-    send_peers = [(me + off) % p for off in range(1, p)]
-    recv_peers = [(me - off) % p for off in range(1, p)]
-    recv_of: dict[int, object] = {}
-
-    outstanding: list = []  # request objects, send and recv interleaved
-    in_flight = [0, 0]  # outstanding requests by kind: [sends, receives]
-    next_send = next_recv = 0
-
-    def fill():
-        nonlocal next_send, next_recv
-        while next_recv < len(recv_peers) and in_flight[1] < window:
-            src = recv_peers[next_recv]
-            rreq = ctx.irecv(src, args.tag)
-            recv_of[src] = rreq
-            outstanding.append(rreq)
-            in_flight[1] += 1
-            next_recv += 1
-        while next_send < len(send_peers) and in_flight[0] < window:
-            dst = send_peers[next_send]
-            outstanding.append(
-                ctx.isend(dst, args.msg_bytes, args.tag, payload=send[dst], sync=True)
-            )
-            in_flight[0] += 1
-            next_send += 1
-
-    fill()
-    while outstanding:
-        index = yield ctx.waitany(outstanding)
-        in_flight[outstanding.pop(index).kind] -= 1
-        fill()
-    for src, rreq in recv_of.items():
-        out[src] = rreq.payload  # type: ignore[attr-defined]
+    dsts = [(me + off) % p for off in range(1, p)]
+    srcs = [(me - off) % p for off in range(1, p)]
+    received = yield ctx.window(srcs, dsts, args.msg_bytes, args.tag,
+                                send[dsts], window)
+    for src, rreq in zip(srcs, received):
+        out[src] = rreq.payload
     return out
 
 

@@ -3,8 +3,9 @@
 For each machine analogue the driver (a) runs the FT proxy with each
 Alltoall algorithm (several seeds, averaged — the paper averages 10 runs)
 and (b) runs the plain No-delay Alltoall micro-benchmark at FT's 32768-byte
-message size.  The paper's point: the micro-benchmark ranking does not
-predict the in-application ranking.
+message size, through the reuse tier (Fig. 8's No-delay row repeats
+them).  The paper's point: the micro-benchmark ranking does not predict
+the in-application ranking.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.ft import FT_MSG_BYTES, FTProxy
+from repro.bench.executor import CellSpec, reuse_cell
 from repro.experiments.common import ExperimentConfig, TABLE2_ALGORITHMS
 from repro.reporting.ascii import render_bars
 from repro.sim.platform import get_machine
@@ -72,9 +74,8 @@ def run(
                 )
                 runtimes.append(ft.run().runtime)
             mres.ft_runtime[algo] = float(np.mean(runtimes))
-            mres.micro_delay[algo] = bench.run(
-                "alltoall", algo, msg_bytes=FT_MSG_BYTES
-            ).last_delay
+            mres.micro_delay[algo] = reuse_cell(CellSpec.from_bench(
+                bench, "alltoall", algo, FT_MSG_BYTES)).last_delay
         result.machines[machine] = mres
     return result
 

@@ -34,11 +34,14 @@ in the payload but are *not* merged: worker wall clocks share no epoch with
 the parent, and wall timings legitimately differ between serial and
 parallel runs — merging them would break trace parity.
 
-* :func:`replay_telemetry` — fills a cell's own session with a twin cell's
-  payload, renamed.  The executor simulates each schedule once per sweep
-  group (:func:`repro.bench.executor.run_cell`): a cell whose algorithm
-  falls back to one that already ran replays that run's telemetry, so its
-  payload, like a cache hit's, reads as if it had simulated.
+* :func:`replay_telemetry` — records a twin run's payload into a session,
+  renamed, as the run would have recorded it there.  The executor's reuse
+  tier simulates each distinct run once per process
+  (:func:`repro.bench.executor.run_cell`): a cell whose run (or whose
+  fallback schedule) already ran replays that run's telemetry, so its
+  payload, like a cache hit's, reads as if it had simulated.  A proxy
+  application run replays its traced session into the enclosing one the
+  same way.
 """
 
 from __future__ import annotations
@@ -177,14 +180,14 @@ def merge_telemetry(ctx: "ObsContext", telemetry: CellTelemetry,
 
 def replay_telemetry(ctx: "ObsContext", telemetry: CellTelemetry,
                      collective: str, twin: str, algorithm: str) -> None:
-    """Record a twin cell's payload into ``ctx``, the fresh session of a
-    cell that ran the twin's schedule under the name ``algorithm``.
+    """Record a twin run's payload into ``ctx`` for a run of the twin's
+    schedule under the name ``algorithm`` (``twin`` itself for a repeat).
 
-    Metrics, engine stats and spans (both clock domains, ids and parent
-    links kept) are copied with ``twin`` swapped for ``algorithm`` in the
-    span names, the ``algorithm`` span argument and the
-    ``collective.calls.*`` key, which is how the cell's own run would have
-    recorded them.
+    Metrics, engine stats and spans (both clock domains, parent links
+    kept, ids shifted past ``ctx``'s own) are copied with ``twin`` swapped
+    for ``algorithm`` in the span names, the ``algorithm`` span argument
+    and the ``collective.calls.*`` key, which is how the run would have
+    recorded them in ``ctx``.
     """
     old_name, new_name = f"{collective}/{twin}", f"{collective}/{algorithm}"
     old_key = f"collective.calls.{collective}.{twin}"

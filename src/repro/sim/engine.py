@@ -5,7 +5,7 @@ Model
 Each simulated MPI process is a Python generator.  The engine resumes
 generators in global timestamp order; between two yields a process executes
 "instantaneously" except for explicit CPU overheads that advance its local
-clock.  A generator yields one of three blocking conditions:
+clock.  A generator yields one of these blocking conditions:
 
 ``("sleep", dt)``
     resume ``dt`` simulated seconds later,
@@ -18,7 +18,13 @@ clock.  A generator yields one of three blocking conditions:
     index of the earliest-completing request,
 ``("sendrecv", dst, src, nbytes, tag, payload)``
     post a send to ``dst`` and a receive from ``src`` and block on both, in
-    one engine step; the resume value is the receive request.
+    one engine step; the resume value is the receive request,
+``("window", srcs, dsts, nbytes, tag, payloads, width)``
+    keep up to ``width`` receives from ``srcs`` and ``width`` synchronous
+    sends to ``dsts`` (``payloads[i]`` to ``dsts[i]``) outstanding, in list
+    order: each completion (the earliest, ties to the lowest index of the
+    outstanding list) refills its kind in one engine step; the resume
+    value is the list of receive requests, in ``srcs`` order.
 
 Messaging follows a LogGP-flavoured cost model (see
 :class:`repro.sim.network.NetworkModel`):
@@ -76,6 +82,9 @@ fitting in cache and every pointer chase slows down):
 * The paired exchange round of most collectives (post a send, post a
   receive, wait for both) is one ``sendrecv`` condition: the engine posts
   and blocks in one step, without the generator-side request plumbing.
+  Likewise a sliding window of synchronous sends and receives (Open MPI's
+  ``linear_sync`` Alltoall) is one ``window`` condition: each completion
+  refills the window inside the engine instead of resuming the generator.
 * A send request records its link class when posted; every later claim and
   latency lookup for that message reads it.
 * Heap entries are plain ``(time, seq, kind, a, b)`` tuples dispatched by
@@ -121,6 +130,7 @@ _EV_START = 0    # a = fiber                   — first resume of a generator
 _EV_RESUME = 1   # a = fiber, b = send value   — resume a blocked fiber
 _EV_DELIVER = 2  # a = send req                — eager payload / RTS arrives
 _EV_RNDV = 3     # a = send req, b = recv req  — rendezvous data arrives
+_EV_WINDOW = 4   # a = fiber, b = index        — refill a window (a resume)
 
 
 class EngineStats:
@@ -329,6 +339,7 @@ class _Fiber:
         "wait_deadline",
         "wait_value",
         "activity",
+        "window",
     )
 
     def __init__(self, proc: "_Proc", gen: Iterator[Any] | None, now: float) -> None:
@@ -360,10 +371,37 @@ class _Fiber:
         # restored into ``engine.activity`` on every resume so interleaved
         # fibers (multi-job runs) do not blur each other's link attribution.
         self.activity: str | None = None
+        # State of the ``window`` condition this fiber is inside, else None.
+        self.window: _Window | None = None
 
     @property
     def rank(self) -> int:
         return self.proc.rank
+
+
+class _Window:
+    """A fiber's ``window`` condition: what is left to post and what is
+    outstanding.  ``outstanding`` holds receives and sends in the order
+    they were posted, with completed ones removed, exactly the list a
+    ``waitany`` loop would keep."""
+
+    __slots__ = ("srcs", "dsts", "nbytes", "tag", "payloads", "width",
+                 "next_recv", "next_send", "recvs", "sends", "outstanding",
+                 "received")
+
+    def __init__(self, srcs: list[int], dsts: list[int], nbytes: int,
+                 tag: int, payloads: Any, width: int) -> None:
+        self.srcs = srcs
+        self.dsts = dsts
+        self.nbytes = nbytes
+        self.tag = tag
+        self.payloads = payloads
+        self.width = width
+        self.next_recv = self.next_send = 0
+        # Outstanding requests by kind.
+        self.recvs = self.sends = 0
+        self.outstanding: list[Request] = []
+        self.received: list[Request] = []
 
 
 class _Proc:
@@ -604,6 +642,11 @@ class Engine:
                 elif kind == _EV_RNDV:
                     n_rndv += 1
                     self._finish_recv(b, a, time)
+                elif kind == _EV_WINDOW:
+                    # A refill stands in for the generator resume a waitany
+                    # loop would take here, and counts as one.
+                    n_resume += 1
+                    self._window_step(a, b)
                 else:  # _EV_START
                     n_start += 1
                     self._resume(a, first=True)
@@ -705,25 +748,25 @@ class Engine:
             fiber.now = resume_at
             self._schedule(resume_at, _EV_RESUME, fiber, None)
         elif kind == "wait_any":
-            # One pass: reject a foreign receive and find the earliest
-            # completion (ties go to the lowest index).
             requests = condition[1]
             rank = fiber.owner
-            index = -1
-            for i, req in enumerate(requests):
+            for req in requests:
                 if req.kind == _RECV and req.owner != rank:
                     raise ProtocolError(
                         f"process {rank} waiting on foreign recv of rank {req.owner}"
                     )
-                ct = req.complete_time
-                if ct is not None and (index < 0 or ct < when):
-                    when, index = ct, i
-            if index < 0:
-                self._block(fiber, requests, any_mode=True)
-                return
-            resume_at = max(fiber.now, when)
-            fiber.now = resume_at
-            self._schedule(resume_at, _EV_RESUME, fiber, index)
+            self._wait_any(fiber, requests)
+        elif kind == "window":
+            _, srcs, dsts, nbytes, tag, payloads, width = condition
+            if width < 1 or not (srcs or dsts):
+                raise ProtocolError(
+                    f"process {fiber.rank} opened a window of width {width} "
+                    f"over {len(srcs)} receives and {len(dsts)} sends"
+                )
+            fiber.window = window = _Window(srcs, dsts, nbytes, tag, payloads,
+                                            width)
+            self._window_fill(fiber, window)
+            self._wait_any(fiber, window.outstanding)
         elif kind == "sleep":
             dt = condition[1]
             if dt < 0:
@@ -743,15 +786,78 @@ class Engine:
             fiber.waiting = None
             fiber.wait_any = False
             condition[1].arrive(fiber)
-        elif condition == "sendrecv":
+        elif condition in ("sendrecv", "window"):
             raise ProtocolError(
-                f"process {fiber.rank} ran `yield from ctx.sendrecv(...)`; "
-                "sendrecv is a blocking condition: `rreq = yield ctx.sendrecv(...)`"
+                f"process {fiber.rank} ran `yield from ctx.{condition}(...)`; "
+                f"{condition} is a blocking condition: "
+                f"`value = yield ctx.{condition}(...)`"
             )
         else:
             raise ProtocolError(
                 f"process {fiber.rank} yielded unknown condition {condition!r}"
             )
+
+    def _window_fill(self, fiber: _Fiber, window: _Window) -> None:
+        """Post receives, then sends, until each kind has ``width``
+        outstanding or none is left: the posting order of a ``waitany``
+        loop that refills after every completion."""
+        rank = fiber.owner
+        outstanding = window.outstanding
+        srcs, dsts, tag = window.srcs, window.dsts, window.tag
+        while window.recvs < window.width and window.next_recv < len(srcs):
+            req = self.post_irecv(rank, srcs[window.next_recv], tag,
+                                  fiber=fiber)
+            window.received.append(req)
+            outstanding.append(req)
+            window.next_recv += 1
+            window.recvs += 1
+        payloads = window.payloads
+        while window.sends < window.width and window.next_send < len(dsts):
+            i = window.next_send
+            outstanding.append(self.post_isend(
+                rank, dsts[i], window.nbytes, tag,
+                None if payloads is None else payloads[i],
+                sync=True, fiber=fiber))
+            window.next_send = i + 1
+            window.sends += 1
+
+    def _wait_any(self, fiber: _Fiber, requests: list[Request]) -> None:
+        """Schedule ``fiber``'s resume (a window refill inside a window)
+        for the earliest completed request, ties to the lowest index, with
+        its index; with none completed, block until one is
+        (:meth:`_wake` then comes back here)."""
+        index = -1
+        for i, req in enumerate(requests):
+            ct = req.complete_time
+            if ct is not None and (index < 0 or ct < when):
+                when, index = ct, i
+        if index < 0:
+            self._block(fiber, requests, any_mode=True)
+            return
+        resume_at = max(fiber.now, when)
+        fiber.now = resume_at
+        self._schedule(resume_at,
+                       _EV_RESUME if fiber.window is None else _EV_WINDOW,
+                       fiber, index)
+
+    def _window_step(self, fiber: _Fiber, index: int) -> None:
+        """Retire outstanding request ``index``, refill, and wait again;
+        once nothing is outstanding, resume the generator with the
+        receive requests."""
+        fiber.blocked = False
+        self.activity = fiber.activity
+        window = fiber.window
+        outstanding = window.outstanding
+        if outstanding.pop(index).kind == _SEND:
+            window.sends -= 1
+        else:
+            window.recvs -= 1
+        self._window_fill(fiber, window)
+        if outstanding:
+            self._wait_any(fiber, outstanding)
+            return
+        fiber.window = None
+        self._resume(fiber, window.received)
 
     def _block(self, fiber: _Fiber, requests: list[Request], any_mode: bool) -> bool:
         """Register ``fiber`` as a waiter on every pending request.
@@ -851,19 +957,13 @@ class Engine:
         if epoch != fiber.wait_epoch or not fiber.blocked:
             return  # stale registration from an earlier wait
         if fiber.wait_any:
-            # First completion for this wait: pick the earliest-completed
-            # index (scans once; ties go to the lowest index).
-            index = -1
-            for i, r in enumerate(fiber.waiting):
-                ct = r.complete_time
-                if ct is not None and (index < 0 or ct < when):
-                    when, index = ct, i
-            resume_at = fiber.now if fiber.now > when else when
+            # First completion for this wait: resume for the
+            # earliest-completed request.
+            requests = fiber.waiting
             fiber.waiting = None
             fiber.wait_any = False
             fiber.blocked = False
-            fiber.now = resume_at
-            self._schedule(resume_at, _EV_RESUME, fiber, index)
+            self._wait_any(fiber, requests)
         else:
             ct = req.complete_time
             if ct > fiber.wait_deadline:

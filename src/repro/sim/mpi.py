@@ -6,7 +6,8 @@ context's methods).  Blocking convenience wrappers (``send``, ``recv``,
 ``barrier``) are sub-generators used with ``yield from``; they return their
 result via the generator return value.  ``sendrecv`` is itself a blocking
 condition, which the engine runs in one step: plain ``yield``, and the
-resume value is the receive request::
+resume value is the receive request.  ``window`` (a sliding window of
+synchronous sends and receives) is a blocking condition too::
 
     def program(ctx: ProcContext):
         if ctx.rank == 0:
@@ -16,6 +17,8 @@ resume value is the receive request::
             print(req.payload)
         peer = ctx.rank ^ 1
         rreq = yield ctx.sendrecv(peer, peer, nbytes=8)
+        others = [r for r in range(ctx.size) if r != ctx.rank]
+        rreqs = yield ctx.window(others, others, 8, payloads=None, width=2)
         yield from ctx.barrier()
 
     result = run_processes(platform, program)
@@ -209,6 +212,40 @@ class ProcContext:
         if isinstance(payload, np.ndarray):
             payload = payload.copy()
         return ("sendrecv", dst, src, nbytes, tag, payload)
+
+    def window(
+        self,
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        nbytes: int,
+        tag: int = TAG_P2P,
+        payloads: Any = None,
+        width: int = 4,
+    ) -> tuple:
+        """Blocking condition: a sliding window of receives and sync sends.
+
+        ``rreqs = yield ctx.window(...)`` keeps up to ``width`` receives
+        from ``srcs`` and ``width`` ``MPI_Issend``-style sends to ``dsts``
+        (``payloads[i]`` to ``dsts[i]``; ``payloads`` may be ``None``)
+        outstanding, posting receives first, in list order.  The engine
+        refills the window in one step per completion, exactly as the loop
+
+        .. code-block:: python
+
+            fill()  # post receives, then sends, up to width of each kind
+            while outstanding:
+                i = yield ctx.waitany(outstanding)
+                outstanding.pop(i)
+                fill()
+
+        would, and resumes with the receive requests in ``srcs`` order.
+        The payloads are snapshotted here, once.
+        ``yield from ctx.window(...)`` raises :class:`ProtocolError`.
+        """
+        if payloads is not None:
+            payloads = np.array(payloads, copy=True)
+        return ("window", list(srcs), list(dsts), nbytes, tag, payloads,
+                width)
 
     # -- built-in dissemination barrier ---------------------------------- #
 

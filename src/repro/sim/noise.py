@@ -21,6 +21,7 @@ micro-benchmark cells never compute, so they never pay for one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,20 @@ class NoiseModel:
             )
         else:
             self._speed = np.ones(num_ranks)
+
+    @property
+    def fresh(self) -> bool:
+        """True until some rank first draws from its stream."""
+        return all(rng is None for rng in self._rngs)
+
+    def streams(self) -> list:
+        """A copy of every rank's stream (``None`` where never drawn)."""
+        return copy.deepcopy(self._rngs)
+
+    def set_streams(self, streams: list) -> None:
+        """Continue from :meth:`streams` of a model with the same profile,
+        rank count and seed, as if this model had drawn what it drew."""
+        self._rngs = copy.deepcopy(streams)
 
     def speed_factor(self, rank: int) -> float:
         """Persistent slowdown factor of a rank (1.0 = nominal speed)."""

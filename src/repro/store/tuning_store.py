@@ -351,20 +351,23 @@ class TuningStore:
             provenance_id = self.ensure_provenance(run_id=run_id,
                                                    params_hash=params_hash)
         new_sweeps = 0
-        rules = 0
         for sweep in result.sweeps.values():
             _sid, inserted = self.ingest_sweep(sweep,
                                                provenance_id=provenance_id)
             new_sweeps += inserted
+        rules = 0
+        with self._transaction():  # every rule write in one transaction
             if pattern_rules:
-                for pattern in sweep.patterns:
-                    self.add_rule(
-                        PATTERN_BEST, sweep.collective, sweep.num_ranks,
-                        sweep.msg_bytes, sweep.best_algorithm(pattern),
-                        pattern=pattern, provenance_id=provenance_id,
-                    )
-                    rules += 1
-        rules += self.store_table(result.table, provenance_id=provenance_id)
+                for sweep in result.sweeps.values():
+                    for pattern in sweep.patterns:
+                        self.add_rule(
+                            PATTERN_BEST, sweep.collective, sweep.num_ranks,
+                            sweep.msg_bytes, sweep.best_algorithm(pattern),
+                            pattern=pattern, provenance_id=provenance_id,
+                        )
+                        rules += 1
+            rules += self.store_table(result.table,
+                                      provenance_id=provenance_id)
         return {"new_sweeps": new_sweeps, "rules_written": rules}
 
     # -- linting --------------------------------------------------------- #

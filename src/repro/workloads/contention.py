@@ -121,6 +121,12 @@ class GroupContext:
                  payload=None) -> tuple:
         return self._ctx.sendrecv(self._global(dst), self._global(src), nbytes, tag, payload)
 
+    def window(self, srcs, dsts, nbytes: int, tag: int = TAG_P2P,
+               payloads=None, width: int = 4) -> tuple:
+        return self._ctx.window([self._global(s) for s in srcs],
+                                [self._global(d) for d in dsts],
+                                nbytes, tag, payloads, width)
+
     def barrier(self, tag: int = TAG_BARRIER):
         """Dissemination barrier over the *group's* ranks."""
         return dissemination_barrier(self, tag)

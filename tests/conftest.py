@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.executor import REUSE
 from repro.sim.network import NetworkParams
 from repro.sim.platform import Platform
+
+
+@pytest.fixture(autouse=True)
+def fresh_reuse_tier():
+    """Each test starts with an empty in-process reuse tier, so what it
+    simulates does not depend on the tests that ran before it."""
+    REUSE.clear()
+    yield
+    REUSE.clear()
 
 
 @pytest.fixture

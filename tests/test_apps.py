@@ -139,3 +139,96 @@ class TestCGProxy:
         assert result.collective_calls == 20
         # Tiny allreduces: MPI fraction must be small without noise.
         assert result.mpi_fraction < 0.2
+
+
+class TestProxyReuse:
+    """A proxy run whose noise model has not drawn yet is simulated once
+    per process; repeats come from the executor's reuse tier."""
+
+    @staticmethod
+    def _ft(**kw):
+        return FTProxy.class_d_scaled(get_machine("galileo100"), nodes=2,
+                                      cores_per_node=2, seed=3, iterations=2,
+                                      **kw)
+
+    @pytest.fixture
+    def simulated(self, monkeypatch):
+        """Proxy runs simulated, in call order."""
+        calls = []
+        original = IterativeProxyApp._simulate
+
+        def counting(app):
+            calls.append(app.algorithm)
+            return original(app)
+
+        monkeypatch.setattr(IterativeProxyApp, "_simulate", counting)
+        return calls
+
+    @staticmethod
+    def _same(a, b):
+        assert a.runtime == b.runtime
+        assert a.collective_calls == b.collective_calls
+        for mine, theirs in ((a.rank_compute_time, b.rank_compute_time),
+                             (a.rank_mpi_time, b.rank_mpi_time)):
+            assert np.array_equal(mine, theirs)
+            assert not np.shares_memory(mine, theirs)
+
+    def test_a_repeat_is_simulated_once(self, simulated):
+        first = self._ft().run()
+        again = self._ft().run()
+        assert simulated == ["pairwise"]
+        self._same(first, again)
+        self._ft(algorithm="bruck").run()
+        assert simulated == ["pairwise", "bruck"]
+
+    def test_a_reused_run_leaves_the_noise_where_the_run_would(
+            self, simulated):
+        from repro.bench.executor import REUSE
+
+        ft = self._ft()
+        ft.run()
+        second = ft.run()  # drawn noise: not keyed, simulated
+        assert simulated == ["pairwise"] * 2
+        REUSE.clear()
+        self._ft().run()
+        reused = self._ft()
+        reused.run()  # from the tier
+        assert simulated == ["pairwise"] * 3
+        self._same(reused.run(), second)  # continues the restored streams
+        assert simulated == ["pairwise"] * 4
+
+    def test_trace_after_run_hits_and_matches_a_fresh_trace(self, simulated):
+        from repro import obs
+        from repro.bench.executor import REUSE
+
+        def traced():
+            with obs.session(run_id="outer") as octx:
+                result, analysis = self._ft().trace()
+            spans = [s.to_dict() for s in octx.spans if s.domain == "virtual"]
+            return (result, analysis.arrival_pattern("alltoall").skews,
+                    spans, octx.metrics.snapshot(), octx.engine_stats.runs)
+
+        fresh = traced()
+        REUSE.clear()
+        self._ft().run()
+        hit = traced()
+        assert simulated == ["pairwise"] * 2
+        self._same(fresh[0], hit[0])
+        assert np.array_equal(fresh[1], hit[1])
+        assert fresh[2:] == hit[2:]
+
+    def test_a_reused_run_records_what_the_run_would(self, simulated):
+        from repro import obs
+
+        def recorded():
+            with obs.session(run_id="outer") as octx:
+                self._ft().run()
+            spans = [s.to_dict() for s in octx.spans if s.domain == "virtual"]
+            engine = {k: v for k, v in octx.engine_stats.to_dict().items()
+                      if k not in ("wall_seconds", "events_per_sec")}
+            return spans, octx.metrics.snapshot(), engine
+
+        first = recorded()
+        assert recorded() == first
+        assert simulated == ["pairwise"]
+        assert first[2]["runs"] == 1 and first[0]

@@ -272,14 +272,9 @@ class TestCellExecutor:
 
 
 class TestScheduleReuse:
-    """run_cell simulates each schedule once per sweep group: at 1 KiB the
-    segmented ring has one segment and runs the plain ring's schedule."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_group(self, monkeypatch):
-        import repro.bench.executor as executor_mod
-
-        monkeypatch.setattr(executor_mod, "_last_group", (None, {}))
+    """run_cell simulates each distinct run once per process: at 1 KiB the
+    segmented ring has one segment and runs the plain ring's schedule.
+    (The suite's autouse fixture empties the reuse tier per test.)"""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -319,7 +314,8 @@ class TestScheduleReuse:
                         self._twins(other)[1]):
             run_cell(self._twins(bench)[0])
             run_cell(changed)
-        assert runs == ["ring", "segmented_ring"] * 3
+        # The ring repeats are not consecutive, and still run only once.
+        assert runs == ["ring"] + ["segmented_ring"] * 3
 
     def test_hybrid_twins_are_simulated(self, bench, runs):
         hybrid = dataclasses.replace(bench, engine_mode="hybrid")
@@ -342,6 +338,95 @@ class TestScheduleReuse:
         # Nothing was kept for a later cell of the group either.
         run_cell(self._twins(bench)[1])
         assert runs == ["ring", "segmented_ring", "segmented_ring"]
+
+
+class TestReuseTier:
+    def test_the_tier_is_a_bounded_lru(self):
+        from repro.bench.executor import ReuseTier
+
+        tier = ReuseTier(2)
+        tier.put("a", 1)
+        tier.put("b", 2)
+        assert tier.get("a") == 1  # now the most recently used
+        tier.put("c", 3)
+        assert (tier.get("a"), tier.get("b"), tier.get("c")) == (1, None, 3)
+        assert len(tier) == 2
+
+    def test_a_direct_cell_shares_the_tier_with_executor_cells(
+            self, bench, monkeypatch):
+        """Fig. 7's direct cells: under the caller's session through the
+        tier, recording what a direct run would; an executor run of the
+        same cell then reuses them and records what simulating would."""
+        from repro import obs
+        from repro.bench.executor import REUSE, reuse_cell
+
+        spec = _spec(bench, "pairwise", 4096)
+
+        def recorded(run):
+            with obs.session(run_id="outer", record_spans=True) as octx:
+                result = run()
+            spans = [s.to_dict() for s in octx.spans if s.domain == "virtual"]
+            return (result.to_dict(), spans, octx.metrics.snapshot()
+                    ["collective.calls.alltoall.pairwise"],
+                    octx.engine_stats.runs)
+
+        direct = recorded(spec.run)
+        executor_alone = recorded(lambda: CellExecutor().run_cells([spec])[0])
+        REUSE.clear()
+        assert recorded(lambda: reuse_cell(spec)) == direct
+        assert len(REUSE) == 1
+        calls = []
+        original = MicroBenchmark.run
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[1])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MicroBenchmark, "run", counting)
+        assert recorded(lambda: CellExecutor().run_cells([spec])[0]) \
+            == executor_alone
+        assert calls == []
+
+    def test_cold_then_warm_campaign_hashes_each_spec_once(self, bench,
+                                                           tmp_path,
+                                                           monkeypatch):
+        import types
+
+        import repro.bench.executor as executor_mod
+        from repro import obs
+
+        hashes = []
+        sha256 = executor_mod.hashlib.sha256
+
+        def counting(data=b""):
+            hashes.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(executor_mod, "hashlib",
+                            types.SimpleNamespace(sha256=counting))
+        hashed = []  # the spec objects whose key was computed (kept alive)
+        cache_key = CellSpec.cache_key
+
+        def tracking(spec):
+            before = len(hashes)
+            key = cache_key(spec)
+            if len(hashes) > before:
+                hashed.append(spec)
+            return key
+
+        monkeypatch.setattr(CellSpec, "cache_key", tracking)
+        stats = []
+        for _ in ("cold", "warm"):
+            campaign = TuningCampaign(bench=bench,
+                                      cache_dir=tmp_path / "cache",
+                                      **CAMPAIGN_KW)
+            with obs.session(run_id="campaign", record_spans=False):
+                stats.append(campaign.run().stats)
+        assert stats[0].simulated == stats[0].cells > 0
+        assert stats[1].hits == stats[1].cells == stats[0].cells
+        assert len(hashes) == len(hashed)
+        assert len({id(spec) for spec in hashed}) == len(hashed)
+        assert len(hashed) >= 2 * stats[0].cells
 
 
 class TestSweepParity:

@@ -270,6 +270,30 @@ class TestMain:
         assert str(files[bad]) in err
         assert not files["missing"].exists()
 
+    @pytest.mark.parametrize("subcommand", [
+        ["run", "halo_mix"], ["replay", "{trace}"]], ids=["run", "replay"])
+    def test_workload_store_with_no_cells_is_refused(self, capsys, tmp_path,
+                                                     monkeypatch, subcommand):
+        from repro.bench.micro import MicroBenchmark
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a refused command ran a cell")
+
+        monkeypatch.setattr(MicroBenchmark, "run", no_simulation)
+        monkeypatch.setattr("repro.sim.mpi.run_processes", no_simulation)
+        trace = tmp_path / "trace.json"
+        trace.write_text("{}")
+        db = tmp_path / "nc.db"
+        argv = ["workload", *[a.format(trace=trace) for a in subcommand],
+                "--fast", "--no-cells", "--store", str(db)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "--no-cells" in captured.err and "--store" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not db.exists()
+
     def test_query_without_a_listener_is_one_error_line(self, capsys):
         import socket
 

@@ -203,6 +203,34 @@ def test_group_context_parity_is_bit_identical():
         0.0024538893968254, "86ee5a774013c193", "e7384cc2209885af", 5216)
 
 
+def test_group_context_window_and_bruck_parity_is_bit_identical():
+    # The sliding-window linear_sync (one engine condition) and the
+    # whole-array Bruck inside interleaved jobs, through GroupContext;
+    # pinned while linear_sync still ran its waitany loop in the generator
+    # and Bruck copied rows.
+    from repro.workloads.contention import GroupContext
+
+    pattern = generate_pattern("first_delayed", 64, max_skew=200e-6, seed=7)
+    groups = [tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]
+    algos = ["linear_sync", "bruck"]
+
+    def prog(ctx):
+        job = ctx.rank % 2
+        g = GroupContext(ctx, groups[job])
+        yield ctx.wait_until(pattern.skew_of(ctx.rank))
+        data = make_input("alltoall", g.rank, g.size, 16)
+        out = []
+        for msg_bytes in (1024.0, 65536.0):  # eager and rendezvous blocks
+            args = CollArgs(count=16, msg_bytes=msg_bytes)
+            out.append((yield from run_collective(
+                g, "alltoall", algos[job], args, data,
+                label=f"job{job}:alltoall/{algos[job]}")))
+        return out
+
+    assert _pinned_run(prog) == (
+        0.013465295200000022, "c5d2696c239808eb", "cae69fb913d03f1b", 9024)
+
+
 # Expected mean last_delay per alltoall algorithm (32 ranks, random pattern
 # max_skew=150us seed=11, 4 KiB, nrep=2, seed=3) and the resulting winner.
 PINNED_SELECTION = {

@@ -176,3 +176,41 @@ class TestTables:
         text = tables.full_registry()
         for family in ("barrier", "bcast", "gather", "scatter", "reduce_scatter"):
             assert family in text
+
+
+class TestReuseAcrossFigures:
+    def test_fig8_after_fig7_equals_fig8_alone(self, monkeypatch):
+        """Fig. 8's FT trace and No-delay cells repeat Fig. 7's runs: in one
+        process they come from the reuse tier, and Fig. 8 reports and
+        records exactly what it does alone."""
+        from repro import obs
+        from repro.bench.executor import REUSE
+        from repro.bench.micro import MicroBenchmark
+
+        config = ExperimentConfig(nodes=2, cores_per_node=2, fast=True)
+        calls = []
+        original = MicroBenchmark.run
+
+        def counting(bench, *args, **kwargs):
+            calls.append(args[1])
+            return original(bench, *args, **kwargs)
+
+        monkeypatch.setattr(MicroBenchmark, "run", counting)
+
+        def fig8():
+            with obs.session(run_id="fig8", record_spans=False) as octx:
+                text = fig8_normalized.report(
+                    fig8_normalized.run(config, machines=("hydra",)))
+            engine = {k: v for k, v in octx.engine_stats.to_dict().items()
+                      if k not in ("wall_seconds", "events_per_sec")}
+            return text, engine
+
+        alone = fig8()
+        alone_calls = len(calls)
+        REUSE.clear()
+        with obs.session(run_id="fig7", record_spans=False):
+            fig7_ft_vs_micro.run(config, machines=("hydra",))
+        del calls[:]
+        assert fig8() == alone
+        # The four No-delay cells came from Fig. 7's runs.
+        assert len(calls) == alone_calls - 4

@@ -228,14 +228,15 @@ class TestScheduleReuse:
             return original(bench, collective, algorithm, *args, **kwargs)
 
         with monkeypatch.context() as m:
-            m.setattr(executor_mod, "_last_group", (None, {}))
             m.setattr(MicroBenchmark, "run", counting)
             serial = self._sweep(jobs=1)
             assert calls == ["ring", "recursive_doubling"] * 2
+            executor_mod.REUSE.clear()
             m.setattr(executor_mod.CellSpec, "schedule",
                       lambda spec: spec.algorithm)
             every_cell = self._sweep(jobs=1)
             assert len(calls) == 4 + 6
+        executor_mod.REUSE.clear()
         parallel = self._sweep(jobs=2)
         assert serial == every_cell == parallel
         cells = [s for s in serial[1] if s["track"] == CELLS_TRACK]

@@ -339,6 +339,29 @@ class TestOneWriter:
         assert (verbs.count("SELECT"), verbs.count("INSERT"),
                 verbs.count("UPDATE")) == (cells, cells, 0)
 
+    def test_campaign_writes_its_rules_in_one_transaction(self, tmp_path):
+        from repro.bench import MicroBenchmark
+        from repro.bench.campaign import TuningCampaign
+        from repro.sim.platform import get_machine
+
+        bench = MicroBenchmark.from_machine(
+            get_machine("hydra"), nodes=2, cores_per_node=2, nrep=1
+        )
+        statements: list[str] = []
+        with TuningStore(tmp_path / "t.db") as store:
+            store._conn.set_trace_callback(statements.append)
+            campaign = TuningCampaign(
+                bench=bench, collectives=("alltoall", "reduce"),
+                msg_sizes=(8, 1024), shapes=("ascending",), store=store)
+            result = campaign.run()
+            store._conn.set_trace_callback(None)
+        sweeps = len(result.sweeps)
+        assert sweeps == 4
+        begins = [sql for sql in statements if sql.upper().startswith("BEGIN")]
+        # Provenance, one per sweep with its cells, and one for the rules.
+        assert len(begins) == 1 + sweeps + 1
+        assert result.store_ingest["rules_written"] > sweeps
+
     def test_warm_campaign_fills_a_fresh_store_like_a_cold_one(self, tmp_path):
         cache = tmp_path / "cache"
         stats = {}
